@@ -121,6 +121,10 @@ type fleetJob struct {
 
 // fleetLoop runs cold jobs and their replays closed-loop, starting at job
 // index first, until d has passed and at least minJobs cold jobs ran.
+// Like a client that cleans up, it removes each job from the coordinator
+// once it has read the table (Coordinator.Remove, as DELETE /v1/jobs/{id}
+// does), so the coordinator holds one job at a time and every job meets
+// the same coordinator state; the store keeps every point.
 // With rec set it records spans and times NewSweepPlan on each spec;
 // with rss set it samples the resident set between jobs and with cal it
 // times the calibrator after every job.
@@ -176,6 +180,7 @@ func fleetLoop(o options, f *fleet, first int, d time.Duration, minJobs int, tap
 			}
 			pr := job.Progress()
 			table := res.Table.Render()
+			f.coord.Remove(job.ID)
 			if phase == 0 {
 				fj.table, fj.cold, fj.points = table, dur, pr.Points
 				fj.cold.weight = float64(pr.Packets)
@@ -268,7 +273,7 @@ func runFleet(o options) (*outcome, error) {
 	}
 	rss := startRSS()
 	cal := newCalSamples()
-	jobs, wall, err := fleetLoop(o, f, 0, time.Duration(o.seconds*float64(time.Second)), o.sizes.minOps, tap, nil, rss, cal)
+	jobs, wall, err := fleetLoop(o, f, 0, time.Duration(o.seconds*float64(time.Second)), o.sizes.fleetMinJobs, tap, nil, rss, cal)
 	rss.take()
 	f.close()
 	if err != nil {
@@ -292,7 +297,7 @@ func runFleet(o options) (*outcome, error) {
 	}
 	n := len(jobs)
 	p50, p95 := windowedP50(cold, wall), windowedP95(cold, wall)
-	r50, r95 := windowedP50(replay, wall), quantile(latencies(replay), 0.95)
+	r50 := windowedP50(replay, wall)
 	rate := windowedRate(cold, wall)
 	setup := median(setupTimes)
 	// Times are reported in calibrated ms (see calibrate.go).
@@ -301,18 +306,25 @@ func runFleet(o options) (*outcome, error) {
 	out.metrics["setup_s"] = metric{setup * scale, "s", len(setupTimes)}
 	out.metrics["pkt_per_s"] = metric{rate / scale, "1/s", n}
 	out.metrics["op_ms_p50"] = metric{p50 * scale, "ms", n}
-	out.metrics["replay_ms_p50"] = metric{r50 * scale, "ms", n}
 	out.metrics["rss_mb"] = metric{rss.typical(), "MB", len(rss.samples)}
 
 	// The workload's own names, as measured, with sample counts.
 	out.detail["calibration_ms"] = metric{calMS, "ms", len(cal.ms)}
 	out.detail["setup_s"] = metric{setup, "s", len(setupTimes)}
 	out.detail["job_s_p50"] = metric{p50 / 1000, "s", n}
-	out.detail["job_s_p95"] = metric{p95 / 1000, "s", n}
+	if tailReportable(n, 0.95) {
+		out.detail["job_s_p95"] = metric{p95 / 1000, "s", n}
+	} else {
+		out.notes = append(out.notes, fmt.Sprintf("job_s_p95 omitted: %d jobs leave fewer than 10 beyond it", n))
+	}
 	out.detail["points_per_s"] = metric{rate * float64(points) / packetsOf(jobs), "1/s", points}
 	out.detail["pkt_per_s"] = metric{rate, "1/s", n}
 	out.detail["replay_ms_p50"] = metric{r50, "ms", n}
-	out.detail["replay_ms_p95"] = metric{r95, "ms", n}
+	if tailReportable(n, 0.95) {
+		out.detail["replay_ms_p95"] = metric{quantile(latencies(replay), 0.95), "ms", n}
+	} else {
+		out.notes = append(out.notes, fmt.Sprintf("replay_ms_p95 omitted: %d replays leave fewer than 10 beyond it", n))
+	}
 	out.detail["rss_mb"] = out.metrics["rss_mb"]
 	vmHWM, err := statusMB("VmHWM")
 	if err != nil {
@@ -474,7 +486,7 @@ func traceFleet(o options) (*outcome, error) {
 		return nil, err
 	}
 	phase := time.Duration(o.seconds / 2 * float64(time.Second))
-	minJobs := max(o.sizes.minOps/4, 1)
+	minJobs := max(o.sizes.fleetMinJobs/2, 1)
 	untraced, wallA, err := fleetLoop(o, f, 0, phase, minJobs, tap, nil, nil, nil)
 	if err != nil {
 		f.close()

@@ -83,9 +83,11 @@ type sizes struct {
 	// setupReps is how many times the set-up is repeated; setup_s is
 	// the median.
 	setupReps int
-	// minOps is the fewest timed operations a run measures, so a p95
-	// has ten samples beyond it.
+	// minOps is the fewest timed operations a packet run measures, so
+	// a p95 has ten samples beyond it.
 	minOps int
+	// fleetMinJobs is the fewest cold jobs a fleet run measures.
+	fleetMinJobs int
 	// replayEvery: each packet-workload goroutine re-executes every
 	// replayEvery-th packet it ran (replay_ms_p50).
 	replayEvery int
@@ -93,6 +95,9 @@ type sizes struct {
 	psduBytes int
 	// fleet job shape: the fig8 axis (SIR dB) × MCS modes gives the
 	// points; each point runs fleetPackets packets of fleetPSDU bytes.
+	// Eight packets a point keep a cold job's compute well above its
+	// file-system work (a store file per point), whose latency varies
+	// severalfold between runs on the same machine.
 	fleetAxis    []float64
 	fleetMCS     []string
 	fleetPackets int
@@ -105,11 +110,12 @@ type sizes struct {
 var defaultSizes = sizes{
 	setupReps:    9,
 	minOps:       200,
+	fleetMinJobs: 20,
 	replayEvery:  4,
 	psduBytes:    400,
 	fleetAxis:    []float64{10, 5, 0, -5, -10, -15, -20, -25, -30, -40},
 	fleetMCS:     nil, // the paper's three modes
-	fleetPackets: 1,
+	fleetPackets: 8,
 	fleetPSDU:    40,
 	allocPackets: 16,
 }

@@ -345,7 +345,6 @@ func runPacket(ps packetSpec, o options) (*outcome, error) {
 	out.metrics["setup_s"] = metric{setup * scale, "s", len(setupTimes)}
 	out.metrics["pkt_per_s"] = metric{rate / scale, "1/s", len(all)}
 	out.metrics["op_ms_p50"] = metric{p50 * scale, "ms", n}
-	out.metrics["replay_ms_p50"] = metric{r50 * scale, "ms", m}
 	out.metrics["rss_mb"] = metric{rss.typical(), "MB", len(rss.samples)}
 
 	// The workload's own names, as measured, with sample counts.

@@ -29,6 +29,7 @@ type benchmarkFile struct {
 var tinySizes = sizes{
 	setupReps:    2,
 	minOps:       8,
+	fleetMinJobs: 4,
 	replayEvery:  2,
 	psduBytes:    100,
 	fleetAxis:    []float64{10, -15},

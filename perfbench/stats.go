@@ -44,17 +44,21 @@ type sample struct {
 const windows = 5
 
 // windowMedian returns the median over the run's windows of stat
-// applied to each window's latencies, total weight and length in
-// seconds. Empty windows are skipped.
+// applied to each window's latencies, total weight and span in seconds.
+// Empty windows are skipped.
 func windowMedian(ss []sample, wall time.Duration, stat func(lat []float64, weight, seconds float64) float64) float64 {
 	return median(windowValues(ss, wall, windows, stat))
 }
 
 // windowValues splits the run into n windows and returns stat of every
-// non-empty one.
+// non-empty one. A window's span runs from the last completion before
+// it (or the run's start) to its own last completion, so its weight
+// over its span is a rate that does not jump by a whole operation when
+// one completes just past the window's edge.
 func windowValues(ss []sample, wall time.Duration, n int, stat func(lat []float64, weight, seconds float64) float64) []float64 {
 	width := wall / time.Duration(n)
 	var vals []float64
+	var prevLast time.Duration
 	for w := 0; w < n; w++ {
 		lo, hi := time.Duration(w)*width, time.Duration(w+1)*width
 		if w == n-1 {
@@ -62,14 +66,17 @@ func windowValues(ss []sample, wall time.Duration, n int, stat func(lat []float6
 		}
 		var lat []float64
 		weight := 0.0
+		last := lo
 		for _, s := range ss {
 			if s.end >= lo && s.end < hi {
 				lat = append(lat, s.ms)
 				weight += s.weight
+				last = max(last, s.end)
 			}
 		}
-		if len(lat) > 0 {
-			vals = append(vals, stat(lat, weight, (hi-lo).Seconds()))
+		if len(lat) > 0 && last > prevLast {
+			vals = append(vals, stat(lat, weight, (last-prevLast).Seconds()))
+			prevLast = last
 		}
 	}
 	return vals
