@@ -30,10 +30,14 @@
 // loops kept as a complete scalar fallback (purego build tag,
 // dsp.ForceScalar hook) and a bit-exactness contract (no FMA, scalar
 // operation order) pinned by equivalence tests and fuzzing; see the
-// internal/dsp package comment. Viterbi survivor memory is bounded by a
-// sliding traceback window for long PSDUs (internal/coding,
-// bit-identical by survivor-merge finalisation, pooled buffers below
-// the window).
+// internal/dsp package comment. The Viterbi add-compare-select recursion
+// (internal/coding) is under the same contract: an AVX2 kernel on amd64
+// behind the same dsp.ForceScalar switch and purego tag, pinned to a
+// branchless scalar twin and to the original byte-decision decoder by
+// fuzzing. Survivors are packed one 64-bit decision word per trellis
+// step, and survivor memory is bounded by a sliding traceback window for
+// long PSDUs (bit-identical by survivor-merge finalisation, pooled
+// buffers below the window).
 //
 // Within one packet, rx.DecodeDataParallel fans the per-symbol decisions
 // across a bounded worker pool — each worker on its own Frame.ScratchFork

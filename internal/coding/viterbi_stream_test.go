@@ -9,32 +9,29 @@ import (
 // flatAnchoredRef reproduces the flat (full-buffer) anchored decode
 // regardless of stream length, as the reference for the windowed decoder:
 // best-final-state traceback above the anchor, zero-state traceback below.
-func flatAnchoredRef(v *Viterbi, llrs []float64, anchorBit int) []byte {
+func flatAnchoredRef(llrs []float64, anchorBit int) []byte {
 	n := len(llrs) / 2
-	dp, fm := v.forwardPass(llrs, n)
+	var fm [numStates]float64
+	dp := forwardPass(llrs, n, &fm)
 	decisions := *dp
 	bits := make([]byte, n)
-	state := bestState(fm)
-	for t := n - 1; t >= anchorBit; t-- {
-		bits[t] = byte(state >> 5)
-		state = int(decisions[t*numStates+state])
-	}
-	traceback(decisions, bits, anchorBit, 0)
+	traceback(decisions[anchorBit:], bits[anchorBit:], bestState(&fm))
+	traceback(decisions[:anchorBit], bits[:anchorBit], 0)
 	putDecisions(dp)
 	return bits
 }
 
 // flatRef is the flat terminated / best-final decode reference.
-func flatRef(v *Viterbi, llrs []float64, fromBest bool) []byte {
+func flatRef(llrs []float64, fromBest bool) []byte {
 	n := len(llrs) / 2
-	dp, fm := v.forwardPass(llrs, n)
-	decisions := *dp
+	var fm [numStates]float64
+	dp := forwardPass(llrs, n, &fm)
 	bits := make([]byte, n)
 	state := 0
 	if fromBest {
-		state = bestState(fm)
+		state = bestState(&fm)
 	}
-	traceback(decisions, bits, n, state)
+	traceback(*dp, bits, state)
 	putDecisions(dp)
 	return bits
 }
@@ -73,7 +70,6 @@ func streamLLRs(rng *rand.Rand, n int) []float64 {
 // traceback: the survivor-merge finalisation must never emit a bit the
 // full-buffer traceback would decide differently.
 func TestDecodeWindowedMatchesFlat(t *testing.T) {
-	v := NewViterbi()
 	rng := rand.New(rand.NewSource(99))
 	for _, n := range []int{40, 700, 3000} {
 		llrs := streamLLRs(rng, n)
@@ -84,24 +80,18 @@ func TestDecodeWindowedMatchesFlat(t *testing.T) {
 				}
 				var want []byte
 				if anchor == n {
-					want = flatRef(v, llrs, true)
+					want = flatRef(llrs, true)
 				} else {
-					want = flatAnchoredRef(v, llrs, anchor)
+					want = flatAnchoredRef(llrs, anchor)
 				}
-				got, err := v.decodeWindowed(llrs, anchor, true, window)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := decodeWindowed(llrs, anchor, true, window)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("n=%d window=%d anchor=%d: windowed decode diverges from flat", n, window, anchor)
 				}
 			}
 			// Terminated rule (traceback from state 0 at the end).
-			want := flatRef(v, llrs, false)
-			got, err := v.decodeWindowed(llrs, n, false, window)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := flatRef(llrs, false)
+			got := decodeWindowed(llrs, n, false, window)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d window=%d terminated: windowed decode diverges from flat", n, window)
 			}
@@ -113,14 +103,10 @@ func TestDecodeWindowedMatchesFlat(t *testing.T) {
 // path metric tied at every step): deterministic tie-breaking must still
 // merge the survivors and the output must match the flat reference.
 func TestDecodeWindowedAllErasures(t *testing.T) {
-	v := NewViterbi()
 	n := 2000
 	llrs := make([]float64, 2*n)
-	got, err := v.decodeWindowed(llrs, n, false, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, flatRef(v, llrs, false)) {
+	got := decodeWindowed(llrs, n, false, 150)
+	if !bytes.Equal(got, flatRef(llrs, false)) {
 		t.Fatal("all-erasure windowed decode diverges from flat")
 	}
 }
@@ -138,7 +124,7 @@ func TestDecodeLongStreamsUseWindowAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, flatRef(v, llrs, false)) {
+	if !bytes.Equal(got, flatRef(llrs, false)) {
 		t.Fatal("long terminated Decode diverges from flat")
 	}
 
@@ -148,7 +134,7 @@ func TestDecodeLongStreamsUseWindowAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, flatRef(v, llrs, true)) {
+	if !bytes.Equal(got, flatRef(llrs, true)) {
 		t.Fatal("long unterminated Decode diverges from flat")
 	}
 
@@ -157,7 +143,7 @@ func TestDecodeLongStreamsUseWindowAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, flatAnchoredRef(v, llrs, anchor)) {
+	if !bytes.Equal(got, flatAnchoredRef(llrs, anchor)) {
 		t.Fatal("long DecodeAnchored diverges from flat")
 	}
 

@@ -24,6 +24,12 @@ var (
 // fast path for this call.
 func simdEnabled() bool { return asmOK && !scalarForced.Load() }
 
+// SIMDEnabled reports whether SIMD fast paths are in effect: the CPU
+// support was detected at init and ForceScalar(true) is not set. Kernels
+// in other packages dispatch on it, so ForceScalar stays the single kill
+// switch for every SIMD path in the repository.
+func SIMDEnabled() bool { return simdEnabled() }
+
 // ForceScalar disables (true) or re-enables (false) the SIMD fast paths at
 // runtime, forcing every dispatched kernel through the scalar Go fallback.
 // It is a test hook — the equivalence and fuzz tests run each kernel both
