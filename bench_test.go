@@ -1,8 +1,8 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation (DESIGN.md
-// §4), each running a scaled-down version of the corresponding experiment
-// and logging the regenerated rows. Full-fidelity runs (2000 packets of
+// One benchmark per table and figure of the paper's evaluation, each
+// running a scaled-down version of the corresponding experiment and
+// logging the regenerated rows. Full-fidelity runs (2000 packets of
 // 400 bytes per point, as in the paper): go run ./cmd/cprecycle-bench.
 
 import (

@@ -1,7 +1,7 @@
 // Command cprecycle-bench regenerates the paper's tables and figures at
 // configurable fidelity. Each experiment prints an aligned text table whose
-// rows mirror the corresponding figure's series (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results).
+// rows mirror the corresponding figure's series; -list prints the
+// experiment ids.
 //
 // The packet-success-rate sweeps (fig5, fig8-fig12, fig14, the ablations
 // and delay-spread) run on the sharded sweep engine (internal/sweep): each

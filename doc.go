@@ -6,12 +6,12 @@
 // depends on (FFT/DSP primitives, 802.11a/g modulation and coding, OFDM
 // framing, channel models, interference scenarios, kernel density
 // estimation, a standard receiver chain, and a network-level deployment
-// simulator) is implemented in the other internal packages. See README.md
-// for the architecture overview, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation at reduced fidelity;
-// cmd/cprecycle-bench runs them at full fidelity.
+// simulator) is implemented in the other internal packages. The
+// experiments that regenerate the paper's tables and figures live in
+// internal/experiments, one entry point per table or figure. The
+// benchmarks in bench_test.go regenerate every table and figure of the
+// paper's evaluation at reduced fidelity; cmd/cprecycle-bench runs them
+// at full fidelity.
 //
 // The receiver hot path is incremental, planar and allocation-free: the
 // paper's P FFT windows per OFDM symbol — the scheme's main compute
@@ -23,14 +23,16 @@
 // plans (dsp.PlanFor), precomputed per-subcarrier equalisation dividers
 // (dsp.Divisor) and per-frame/per-receiver scratch buffers throughout
 // (rx.Frame.ObserveSegments, core.Receiver). Values convert to
-// complex128 only at the equalizer/constellation boundary, and every
-// planar kernel is pinned value-identical to its interleaved twin.
-// The hottest planar kernels additionally run hand-written SIMD — AVX2
-// on amd64 (runtime CPUID dispatch) and NEON on arm64 — with the Go
+// complex128 only at the equalizer/constellation boundary. The FFT and
+// the sliding DFT have one implementation each, planar, pinned
+// value-identical to interleaved reference oracles kept in the dsp
+// tests. The two hottest kernels, the FFT butterfly stages and
+// dsp.SlidingDFT.SlideRotatedTab, additionally run hand-written SIMD —
+// AVX2 on amd64 (runtime CPUID dispatch) and NEON on arm64 — with the Go
 // loops kept as a complete scalar fallback (purego build tag,
 // dsp.ForceScalar hook) and a bit-exactness contract (no FMA, scalar
-// operation order) pinned by equivalence tests and fuzzing; see the
-// internal/dsp package comment. The Viterbi add-compare-select recursion
+// operation order) pinned by equivalence tests and the FuzzForwardPlanar
+// and FuzzSlideRotatedTab targets; see the internal/dsp package comment. The Viterbi add-compare-select recursion
 // (internal/coding) is under the same contract: an AVX2 kernel on amd64
 // behind the same dsp.ForceScalar switch and purego tag, pinned to a
 // branchless scalar twin and to the original byte-decision decoder by

@@ -3,7 +3,7 @@
 // additive white Gaussian noise, carrier frequency offset, oscillator phase
 // noise, and power scaling to calibrated SNR/SIR operating points.
 //
-// These models replace the USRP testbed of the paper (see DESIGN.md §2):
+// These models replace the paper's USRP testbed:
 // CPRecycle only observes post-ADC baseband samples, so a sample-accurate
 // baseband simulation exercises the identical receiver code paths.
 package channel
@@ -111,8 +111,10 @@ func (m *Multipath) FrequencyResponse(n int) []complex128 {
 	if len(m.Taps) > n {
 		panic(fmt.Sprintf("channel: %d taps exceed FFT size %d", len(m.Taps), n))
 	}
-	p := dsp.MustPlanFor(n)
-	p.Forward(h)
+	hp := dsp.NewPlanar(n)
+	dsp.Deinterleave(hp, h)
+	dsp.MustPlanFor(n).ForwardPlanar(hp)
+	dsp.Interleave(h, hp)
 	return h
 }
 

@@ -118,6 +118,21 @@ func TestFrequencyResponsePanicsOnTooManyTaps(t *testing.T) {
 	NewMultipath(make([]complex128, 65)).FrequencyResponse(64)
 }
 
+// dft returns the forward (or, with inverse set, the 1/N-scaled inverse)
+// DFT of x, whose length must be a power of two, in a fresh slice.
+func dft(x []complex128, inverse bool) []complex128 {
+	p := dsp.NewPlanar(len(x))
+	dsp.Deinterleave(p, x)
+	if inverse {
+		dsp.MustPlanFor(len(x)).InversePlanar(p)
+	} else {
+		dsp.MustPlanFor(len(x)).ForwardPlanar(p)
+	}
+	out := make([]complex128, len(x))
+	dsp.Interleave(out, p)
+	return out
+}
+
 func TestCircularConvolutionProperty(t *testing.T) {
 	// For an OFDM symbol with CP at least as long as the channel, the
 	// channel acts as per-subcarrier multiplication by H[k]: the core
@@ -127,10 +142,10 @@ func TestCircularConvolutionProperty(t *testing.T) {
 		const n, cp = 64, 16
 		m := Exponential(r, 1+r.Intn(8), 2)
 		bins := r.CNVector(n, 1)
-		body := dsp.IFFT(bins)
+		body := dft(bins, true)
 		sym := append(append([]complex128{}, body[n-cp:]...), body...)
 		rx := m.Apply(sym)
-		got := dsp.FFT(rx[cp : cp+n])
+		got := dft(rx[cp:cp+n], false)
 		h := m.FrequencyResponse(n)
 		for k := 0; k < n; k++ {
 			if cmplx.Abs(got[k]-h[k]*bins[k]) > 1e-7 {
@@ -165,7 +180,7 @@ func TestApplyCFORotation(t *testing.T) {
 	}
 	ApplyCFO(x, 1, 64, 0) // one full subcarrier of offset
 	// Should now be a tone at bin 1.
-	X := dsp.FFT(x)
+	X := dft(x, false)
 	if cmplx.Abs(X[1]) < 63 {
 		t.Fatalf("|X[1]| = %v", cmplx.Abs(X[1]))
 	}

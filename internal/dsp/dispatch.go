@@ -2,8 +2,8 @@ package dsp
 
 import "sync/atomic"
 
-// The planar hot kernels (SlideRotatedTab, the ForwardPlanar/InversePlanar
-// butterfly stages, FreqShiftPlanar) have hand-written SIMD fast paths:
+// The planar hot kernels (the ForwardPlanar/InversePlanar butterfly
+// stages and SlideRotatedTab) have hand-written SIMD fast paths:
 // AVX2 on amd64 (gated on runtime CPUID detection) and NEON on arm64
 // (baseline, always available). The Go loops remain the universal scalar
 // fallback and the reference semantics; the SIMD kernels perform the same

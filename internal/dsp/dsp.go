@@ -8,15 +8,14 @@
 //
 // # SIMD dispatch
 //
-// The three hottest planar kernels — SlidingDFT.SlideRotatedTab, the
-// FFTPlan.ForwardPlanar/InversePlanar butterfly stages, and
-// FreqShiftPlanar — have hand-written assembly fast paths: AVX2 on amd64
-// (selected at package init by CPUID feature detection: OSXSAVE + AVX +
-// YMM-enabled XCR0 + AVX2) and NEON on arm64 (baseline, always on). The
-// Go loops remain the complete, universal fallback: builds tagged purego
-// (and every other GOARCH) compile only the scalar code, and the
-// ForceScalar test hook flips a live process onto the fallback at any
-// time.
+// The two hottest kernels — the FFTPlan.ForwardPlanar/InversePlanar
+// butterfly stages and SlidingDFT.SlideRotatedTab — have hand-written
+// assembly fast paths: AVX2 on amd64 (selected at package init by CPUID
+// feature detection: OSXSAVE + AVX + YMM-enabled XCR0 + AVX2) and NEON
+// on arm64 (baseline, always on). The Go loops remain the complete,
+// universal fallback: builds tagged purego (and every other GOARCH)
+// compile only the scalar code, and the ForceScalar test hook flips a
+// live process onto the fallback at any time.
 //
 // The dispatch contract is bit-exactness: the SIMD kernels perform the
 // same floating-point operations in the same per-element order as the
@@ -24,13 +23,12 @@
 // never reassociation — so for finite inputs every result is
 // bit-identical to the fallback (NaN payload propagation is the one
 // place x86 vector semantics depend on operand order, which the
-// contract does not constrain). Lanes always hold independent bins or
-// samples; anything inherently serial (the FreqShiftPlanar phasor
-// recurrence, bit-reversal) stays scalar inside the dispatched path.
-// The equivalence tests and the FuzzForwardPlanar /
-// FuzzSlideRotatedTab / FuzzFreqShiftPlanar targets pin dispatched
-// against forced-scalar results bitwise, and the same-seed regression
-// pins hold with SIMD enabled.
+// contract does not constrain). Lanes always hold independent bins;
+// anything inherently serial (bit-reversal) stays scalar inside the
+// dispatched path. The equivalence tests and the FuzzForwardPlanar /
+// FuzzSlideRotatedTab targets pin dispatched against forced-scalar
+// results bitwise, and the same-seed regression pins hold with SIMD
+// enabled.
 //
 // To feed the vector loads as linear streams, the twiddle schedules are
 // re-laid-out at build time (dsp.SlideTab splits its bin selection into
@@ -40,22 +38,26 @@
 //
 // # Planar layout
 //
-// The receiver hot kernels additionally exist in planar (split re/im,
-// structure-of-arrays) form operating on the Planar buffer type: the FFT
-// butterflies (FFTPlan.ForwardPlanar/InversePlanar), the sliding-DFT
-// updates (SlidePlanar, SlideRotatedPlanar, SlideRotatedBinsPlanar and the
-// precomputed-schedule SlideRotatedTab), and FreqShiftPlanar. Two flat
+// The FFT and the sliding DFT exist only in planar (split re/im,
+// structure-of-arrays) form, on the Planar buffer type: the FFT
+// butterflies (FFTPlan.ForwardPlanar/InversePlanar) and the rotated
+// sliding-DFT updates (SlideRotatedPlanar for every bin and the
+// precomputed-schedule SlideRotatedTab for a bin selection). Two flat
 // float64 planes keep the inner loops free of the scalar-pair shuffling
-// interleaved complex values force on the compiler. Every planar kernel
-// performs the same floating-point operations in the same order as its
-// interleaved twin, so results are value-identical (only the sign of a
-// zero may differ, which compares equal); the exactness tests pin each
-// pair against each other. Convert at algorithm boundaries only —
-// Deinterleave on entry, Interleave on exit — and never inside a
-// per-symbol loop; internal/ofdm's batch segment demodulation stays
-// planar from the seed FFT through the last slide and hands planar
-// windows to internal/rx, which interleaves single values at the
-// equalizer boundary.
+// interleaved complex values force on the compiler. Each kernel performs
+// the floating-point operations complex128 arithmetic would, in the same
+// order, so its results are value-identical to an interleaved transform
+// or slide (only the sign of a zero may differ, which compares equal);
+// the tests pin each kernel against such an interleaved oracle. Convert at
+// algorithm boundaries only — Deinterleave on entry, Interleave on exit
+// — and never inside a per-symbol loop: internal/ofdm's batch segment
+// demodulation stays planar from the seed FFT through the last slide and
+// hands planar windows to internal/rx, which interleaves single values
+// at the equalizer boundary, and its modulator converts once per symbol
+// around InversePlanar. Stream-length operations (FreqShift, Conv,
+// AddInto and the other vector helpers) stay on []complex128, the layout
+// of every sample stream: a planar FreqShift would need a conversion on
+// each side, which costs more than the shift itself.
 package dsp
 
 import (
@@ -90,17 +92,13 @@ func NextPow2(n int) int {
 // fixed transform size so repeated transforms avoid recomputing them.
 // A plan is safe for concurrent use once created.
 type FFTPlan struct {
-	n       int
-	rev     []int
-	fwd     []complex128 // forward twiddles e^{-i 2π k / n}, len n/2
-	inv     []complex128 // inverse twiddles e^{+i 2π k / n}, len n/2
-	scratch bool
-	// Copies of fwd/inv as adjacent (re, im) float pairs for the planar
-	// transforms (same values).
+	n int
+	// Forward twiddles e^{-i 2π k / n} and inverse twiddles e^{+i 2π k / n},
+	// k < n/2, as adjacent (re, im) float pairs.
 	fwdP, invP []float64
 	// revPairs lists the (i, r) swaps of the bit-reversal permutation
-	// (i < r only), so the planar transforms apply it without the
-	// per-index comparison.
+	// (i < r only), so the transforms apply it without the per-index
+	// comparison.
 	revPairs []int32
 	// Stage-major vector twiddle layouts for the SIMD butterfly stages
 	// (see dispatch_asm.go); nil on scalar-only builds/machines or for
@@ -115,7 +113,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		return nil, fmt.Errorf("dsp: FFT size %d is not a power of two", n)
 	}
 	p := &FFTPlan{n: n}
-	p.rev = make([]int, n)
 	bits := 0
 	for 1<<bits < n {
 		bits++
@@ -127,23 +124,16 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 				r |= 1 << (bits - 1 - b)
 			}
 		}
-		p.rev[i] = r
-	}
-	for i, r := range p.rev {
 		if i < r {
 			p.revPairs = append(p.revPairs, int32(i), int32(r))
 		}
 	}
 	half := n / 2
-	p.fwd = make([]complex128, half)
-	p.inv = make([]complex128, half)
 	p.fwdP = make([]float64, 2*half)
 	p.invP = make([]float64, 2*half)
 	for k := 0; k < half; k++ {
 		theta := 2 * math.Pi * float64(k) / float64(n)
 		s, c := math.Sincos(theta)
-		p.fwd[k] = complex(c, -s)
-		p.inv[k] = complex(c, s)
 		p.fwdP[2*k], p.fwdP[2*k+1] = c, -s
 		p.invP[2*k], p.invP[2*k+1] = c, s
 	}
@@ -200,100 +190,8 @@ func MustPlanFor(n int) *FFTPlan {
 	return p
 }
 
-// twiddleTable returns the full-resolution forward twiddle table
-// w[r] = e^{-i 2π r / n} for r in [0, n).
-func twiddleTable(n int) []complex128 {
-	w := make([]complex128, n)
-	for r := 0; r < n; r++ {
-		s, c := math.Sincos(2 * math.Pi * float64(r) / float64(n))
-		w[r] = complex(c, -s)
-	}
-	return w
-}
-
 // Size returns the transform length the plan was built for.
 func (p *FFTPlan) Size() int { return p.n }
-
-func (p *FFTPlan) transform(x []complex128, tw []complex128) {
-	n := p.n
-	for i, r := range p.rev {
-		if i < r {
-			x[i], x[r] = x[r], x[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			k := 0
-			for j := start; j < start+half; j++ {
-				t := tw[k] * x[j+half]
-				x[j+half] = x[j] - t
-				x[j] = x[j] + t
-				k += step
-			}
-		}
-	}
-}
-
-// Forward computes the in-place forward DFT
-// X[k] = Σ_n x[n]·e^{-i2πkn/N} of a slice whose length equals the plan size.
-func (p *FFTPlan) Forward(x []complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: Forward length %d, plan size %d", len(x), p.n))
-	}
-	p.transform(x, p.fwd)
-}
-
-// Inverse computes the in-place inverse DFT including the 1/N scaling,
-// x[n] = (1/N) Σ_k X[k]·e^{+i2πkn/N}.
-func (p *FFTPlan) Inverse(x []complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: Inverse length %d, plan size %d", len(x), p.n))
-	}
-	p.transform(x, p.inv)
-	scale := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= scale
-	}
-}
-
-// FFT returns the forward DFT of x in a fresh slice. The length of x must be
-// a power of two. The plan is taken from the process-wide cache.
-func FFT(x []complex128) []complex128 {
-	p := MustPlanFor(len(x))
-	out := make([]complex128, len(x))
-	copy(out, x)
-	p.Forward(out)
-	return out
-}
-
-// IFFT returns the inverse DFT (with 1/N scaling) of x in a fresh slice.
-// The plan is taken from the process-wide cache.
-func IFFT(x []complex128) []complex128 {
-	p := MustPlanFor(len(x))
-	out := make([]complex128, len(x))
-	copy(out, x)
-	p.Inverse(out)
-	return out
-}
-
-// DFTNaive computes the forward DFT directly in O(n²); used as a test oracle
-// for the fast transform and for non-power-of-two lengths in analyses.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var acc complex128
-		for t := 0; t < n; t++ {
-			theta := 2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s, c := math.Sincos(theta)
-			acc += x[t] * complex(c, -s)
-		}
-		out[k] = acc
-	}
-	return out
-}
 
 // freqShiftResync bounds the phasor recurrence error in FreqShift: the
 // rotator is recomputed exactly every freqShiftResync samples, so the

@@ -56,7 +56,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 16)
 	x[0] = 1
-	X := FFT(x)
+	X := fft(x)
 	for k, v := range X {
 		if !approxEq(v, 1, tol) {
 			t.Fatalf("bin %d = %v, want 1", k, v)
@@ -72,7 +72,7 @@ func TestFFTSingleTone(t *testing.T) {
 		theta := 2 * math.Pi * float64(k0) * float64(t2) / float64(n)
 		x[t2] = cmplx.Exp(complex(0, theta))
 	}
-	X := FFT(x)
+	X := fft(x)
 	for k, v := range X {
 		want := complex(0, 0)
 		if k == k0 {
@@ -88,8 +88,8 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	r := NewRand(1)
 	for _, n := range []int{2, 4, 8, 64, 256} {
 		x := r.CNVector(n, 1)
-		fast := FFT(x)
-		slow := DFTNaive(x)
+		fast := fft(x)
+		slow := dftNaive(x)
 		if d := MaxAbsDiff(fast, slow); d > 1e-7 {
 			t.Fatalf("n=%d: FFT differs from naive DFT by %g", n, d)
 		}
@@ -102,7 +102,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		rr := NewRand(seed)
 		n := 1 << (1 + rr.Intn(9)) // 2..1024
 		x := rr.CNVector(n, 1)
-		y := IFFT(FFT(x))
+		y := ifft(fft(x))
 		return MaxAbsDiff(x, y) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: r.Rand}); err != nil {
@@ -121,8 +121,8 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = alpha*a[i] + b[i]
 		}
-		lhs := FFT(sum)
-		fa, fb := FFT(a), FFT(b)
+		lhs := fft(sum)
+		fa, fb := fft(a), fft(b)
 		rhs := make([]complex128, n)
 		for i := range rhs {
 			rhs[i] = alpha*fa[i] + fb[i]
@@ -141,7 +141,7 @@ func TestParsevalProperty(t *testing.T) {
 		n := 128
 		x := rr.CNVector(n, 1)
 		et := Energy(x)
-		ef := Energy(FFT(x)) / float64(n)
+		ef := Energy(fft(x)) / float64(n)
 		return math.Abs(et-ef) < 1e-8*et+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -156,8 +156,8 @@ func TestCyclicShiftTheoremProperty(t *testing.T) {
 		n := 64
 		k := rr.Intn(n)
 		x := rr.CNVector(n, 1)
-		shifted := FFT(CyclicShift(x, k))
-		base := FFT(x)
+		shifted := fft(CyclicShift(x, k))
+		base := fft(x)
 		for bin := 0; bin < n; bin++ {
 			theta := 2 * math.Pi * float64(bin) * float64(k) / float64(n)
 			want := base[bin] * cmplx.Exp(complex(0, theta))
@@ -190,13 +190,10 @@ func TestPlanReuseMatchesOneShot(t *testing.T) {
 	p := MustFFTPlan(64)
 	for i := 0; i < 5; i++ {
 		x := r.CNVector(64, 1)
-		want := FFT(x)
-		got := make([]complex128, 64)
-		copy(got, x)
-		p.Forward(got)
-		if MaxAbsDiff(want, got) > tol {
-			t.Fatalf("iteration %d: plan reuse mismatch", i)
-		}
+		want := fft(x)
+		got := planarOf(x)
+		p.ForwardPlanar(got)
+		requirePlanarEqual(t, "plan reuse", got, want)
 	}
 }
 
@@ -207,7 +204,7 @@ func TestForwardPanicsOnWrongLength(t *testing.T) {
 			t.Fatal("expected panic for wrong length")
 		}
 	}()
-	p.Forward(make([]complex128, 4))
+	p.ForwardPlanar(NewPlanar(4))
 }
 
 func TestFreqShiftMovesTone(t *testing.T) {
@@ -217,7 +214,7 @@ func TestFreqShiftMovesTone(t *testing.T) {
 		x[i] = 1 // DC tone
 	}
 	FreqShift(x, 3, n, 0)
-	X := FFT(x)
+	X := fft(x)
 	if cmplx.Abs(X[3]) < float64(n)-1e-6 {
 		t.Fatalf("expected energy at bin 3, |X[3]| = %v", cmplx.Abs(X[3]))
 	}
@@ -415,27 +412,5 @@ func TestRandBits(t *testing.T) {
 	}
 	if ones < 400 || ones > 600 {
 		t.Fatalf("bit balance suspicious: %d ones of 1000", ones)
-	}
-}
-
-func BenchmarkFFT64(b *testing.B) {
-	p := MustFFTPlan(64)
-	x := NewRand(1).CNVector(64, 1)
-	buf := make([]complex128, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		p.Forward(buf)
-	}
-}
-
-func BenchmarkFFT256(b *testing.B) {
-	p := MustFFTPlan(256)
-	x := NewRand(1).CNVector(256, 1)
-	buf := make([]complex128, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		p.Forward(buf)
 	}
 }

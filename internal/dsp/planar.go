@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Planar holds a complex vector in planar (structure-of-arrays) layout:
 // the real parts in Re and the imaginary parts in Im, index-aligned. The
@@ -83,11 +80,11 @@ func (p Planar) Scale(g float64) {
 	}
 }
 
-// ForwardPlanar is Forward on planar data: the same radix-2 butterflies in
-// the same order on split planes, so the output is bit-identical to the
-// interleaved transform. On machines with SIMD support the butterfly
-// stages run in assembly (see dispatch.go); the result is bit-identical
-// either way.
+// ForwardPlanar computes the in-place forward DFT
+// X[k] = Σ_n x[n]·e^{-i2πkn/N} of a planar vector whose length equals the
+// plan size, with radix-2 decimation-in-time butterflies. On machines
+// with SIMD support the butterfly stages run in assembly (see
+// dispatch.go); the result is bit-identical either way.
 func (p *FFTPlan) ForwardPlanar(x Planar) {
 	if x.Len() != p.n {
 		panic(fmt.Sprintf("dsp: ForwardPlanar length %d, plan size %d", x.Len(), p.n))
@@ -95,7 +92,8 @@ func (p *FFTPlan) ForwardPlanar(x Planar) {
 	p.transformPlanar(x.Re, x.Im, true)
 }
 
-// InversePlanar is Inverse on planar data, including the 1/N scaling.
+// InversePlanar computes the in-place inverse DFT including the 1/N
+// scaling, x[n] = (1/N) Σ_k X[k]·e^{+i2πkn/N}.
 func (p *FFTPlan) InversePlanar(x Planar) {
 	if x.Len() != p.n {
 		panic(fmt.Sprintf("dsp: InversePlanar length %d, plan size %d", x.Len(), p.n))
@@ -104,10 +102,11 @@ func (p *FFTPlan) InversePlanar(x Planar) {
 	x.Scale(1 / float64(p.n))
 }
 
-// transformPlanar mirrors transform butterfly-for-butterfly: each complex
-// operation is expanded to the float operations the compiler emits for the
-// interleaved form ((ac−bd, ad+bc) products, adds/subs in the same order),
-// so the two paths produce identical values.
+// transformPlanar runs the butterflies with each complex operation
+// expanded to the float operations the compiler emits for complex128
+// arithmetic ((ac−bd, ad+bc) products, adds/subs in the same order), so
+// the values match an interleaved transform of the same schedule (the
+// test oracle).
 func (p *FFTPlan) transformPlanar(re, im []float64, fwd bool) {
 	if p.transformPlanarSIMD(re, im, fwd) {
 		return
@@ -155,82 +154,22 @@ func (p *FFTPlan) transformPlanar(re, im []float64, fwd bool) {
 	}
 }
 
-// FreqShiftPlanar is FreqShift on planar data: the same phasor recurrence
-// with the same resynchronisation cadence, value-identical to the
-// interleaved kernel. On machines with SIMD support the per-sample
-// rotation runs in assembly (the recurrence itself stays scalar, so the
-// rotator values — and therefore the output — are bit-identical).
-func FreqShiftPlanar(x Planar, shiftBins float64, n int, startSample int) {
-	w := 2 * math.Pi * shiftBins / float64(n)
-	ss, cs := math.Sincos(w)
-	stepR, stepI := cs, ss
-	if freqShiftPlanarSIMD(x, w, stepR, stepI, startSample) {
-		return
-	}
-	var rotR, rotI float64
-	re, im := x.Re, x.Im
-	for t := range re {
-		if t%freqShiftResync == 0 {
-			s, c := math.Sincos(w * float64(startSample+t))
-			rotR, rotI = c, s
-		}
-		xr, xi := re[t], im[t]
-		re[t] = xr*rotR - xi*rotI
-		im[t] = xr*rotI + xi*rotR
-		rotR, rotI = rotR*stepR-rotI*stepI, rotR*stepI+rotI*stepR
-	}
-}
-
-// SlidePlanar is Slide on planar data: identical per-bin update arithmetic
-// on split planes.
-func (s *SlidingDFT) SlidePlanar(bins, outgoing, incoming Planar) {
-	n := s.n
-	if bins.Len() != n {
-		panic(fmt.Sprintf("dsp: SlidePlanar bins length %d, kernel size %d", bins.Len(), n))
-	}
-	m := outgoing.Len()
-	if incoming.Len() != m {
-		panic(fmt.Sprintf("dsp: SlidePlanar got %d outgoing but %d incoming samples", m, incoming.Len()))
-	}
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlidePlanar step %d exceeds window size %d", m, n))
-	}
-	wp := s.wP
-	rotStep := n - m
-	if rotStep == n {
-		rotStep = 0
-	}
-	rot := 0
-	for k := 0; k < n; k++ {
-		accR, accI := bins.Re[k], bins.Im[k]
-		idx := 0
-		for j := 0; j < m; j++ {
-			dr := incoming.Re[j] - outgoing.Re[j]
-			di := incoming.Im[j] - outgoing.Im[j]
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			accR += dr*tr - di*ti
-			accI += dr*ti + di*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		tr, ti := wp[2*rot], wp[2*rot+1]
-		bins.Re[k] = accR*tr - accI*ti
-		bins.Im[k] = accR*ti + accI*tr
-		rot += rotStep
-		if rot >= n {
-			rot -= n
-		}
-	}
-}
-
-// SlideRotatedPlanar is SlideRotated on planar data: the same rotated-
-// domain multiply-add per (bin, diff), so the result is value-identical
-// to the interleaved kernel.
+// SlideRotatedPlanar advances a ROTATED spectrum in place: bins holds
+// R_δ·DFT(window at t), where R_δ[k] = e^{+i 2π k δ / N} is a phase ramp
+// of integer slope δ (e.g. an OFDM segment correction), and after the
+// call it holds R_{δ−m}·DFT(window at t+m), with m = diffs.Len().
+//
+// In the rotated domain the slide needs NO per-bin output rotation — the
+// window advance and the ramp slope decrement cancel — so the whole
+// update is m multiply-adds per bin:
+//
+//	bins'[k] = bins[k] + Σ_{j<m} diffs[j]·e^{+i 2π k (δ−j) / N}.
+//
+// diffs must hold x[t+N+j] − x[t+j] (the entering minus the leaving
+// sample), pre-scaled by whatever constant the caller keeps the spectrum
+// in (e.g. 1/N for ofdm demodulation). delta is δ, the ramp slope before
+// the slide; any integer is accepted and reduced mod N. m may be any
+// value in [0, N].
 func (s *SlidingDFT) SlideRotatedPlanar(bins, diffs Planar, delta int) {
 	n := s.n
 	if bins.Len() != n {
@@ -244,6 +183,10 @@ func (s *SlidingDFT) SlideRotatedPlanar(bins, diffs Planar, delta int) {
 		panic(fmt.Sprintf("dsp: SlideRotatedPlanar step %d exceeds window size %d", m, n))
 	}
 	wp := s.wP
+	// e^{+i 2π k c / N} is table entry (n − c mod n)·k mod n. For j =
+	// 0..m-1 the slope c = δ−j raises the table step by 1 per j, so for
+	// bin k the index walks start, start+k, start+2k, … where start
+	// corresponds to c = δ.
 	base := (n - delta%n) % n
 	if base < 0 {
 		base += n
@@ -315,44 +258,5 @@ func (s *SlidingDFT) SlideRotatedPlanar(bins, diffs Planar, delta int) {
 		if start >= n {
 			start -= n
 		}
-	}
-}
-
-// SlideRotatedBinsPlanar is SlideRotatedBins on planar data: only the
-// listed bins are updated, in arithmetic identical to the full planar (and
-// interleaved) update; unlisted bins are left untouched.
-func (s *SlidingDFT) SlideRotatedBinsPlanar(bins, diffs Planar, delta int, sel []int) {
-	n := s.n
-	if bins.Len() != n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBinsPlanar bins length %d, kernel size %d", bins.Len(), n))
-	}
-	m := diffs.Len()
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBinsPlanar step %d exceeds window size %d", m, n))
-	}
-	wp := s.wP
-	base := (n - delta%n) % n
-	if base < 0 {
-		base += n
-	}
-	dre, dim := diffs.Re, diffs.Im
-	for _, k := range sel {
-		accR, accI := bins.Re[k], bins.Im[k]
-		idx := (base * k) % n
-		for j := 0; j < m; j++ {
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			dr, di := dre[j], dim[j]
-			accR += dr*tr - di*ti
-			accI += dr*ti + di*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bins.Re[k] = accR
-		bins.Im[k] = accI
 	}
 }

@@ -13,7 +13,7 @@ func planarOf(x []complex128) Planar {
 }
 
 // requirePlanarEqual fails unless p holds exactly the values of want.
-// Planar kernels mirror their interleaved twins operation for operation,
+// Planar kernels mirror the interleaved oracles operation for operation,
 // so equality here is exact value equality (MaxAbsDiff == 0, which treats
 // -0 and +0 as equal — the only representation drift the planar forms can
 // introduce, from real-scalar multiplies not simulating the interleaved
@@ -90,76 +90,75 @@ func TestForwardInversePlanarMatchesInterleaved(t *testing.T) {
 		plan := MustFFTPlan(n)
 		x := randSignal(r, n)
 
-		fwd := append([]complex128(nil), x...)
-		plan.Forward(fwd)
 		pf := planarOf(x)
 		plan.ForwardPlanar(pf)
-		requirePlanarEqual(t, "forward", pf, fwd)
+		requirePlanarEqual(t, "forward", pf, fftOracle(x, false))
 
-		inv := append([]complex128(nil), x...)
-		plan.Inverse(inv)
 		pi := planarOf(x)
 		plan.InversePlanar(pi)
-		requirePlanarEqual(t, "inverse", pi, inv)
+		requirePlanarEqual(t, "inverse", pi, fftOracle(x, true))
 	}
 }
 
+// TestSlidePlanarMatchesInterleaved pins the planar full slide to the
+// classic interleaved sliding-DFT recurrence (slideOracle) along a
+// mixed-step chain. Started from an unramped spectrum (δ = 0), the
+// rotated slide holds R_{−t}·DFT(window at t), so undoing that ramp must
+// reproduce the plain sliding DFT to within the recurrence's drift.
 func TestSlidePlanarMatchesInterleaved(t *testing.T) {
 	const n = 64
 	r := NewRand(13)
 	x := randSignal(r, 6*n)
 	s := MustSlidingDFT(n)
-	bins := FFT(x[:n])
+	bins := fftOracle(x[:n], false)
 	pbins := planarOf(bins)
-	start := 0
+	got := make([]complex128, n)
+	delta, start := 0, 0
 	for _, m := range []int{1, 4, 3, 2, 4, 1} {
-		s.Slide(bins, x[start:start+m], x[start+n:start+n+m])
-		s.SlidePlanar(pbins, planarOf(x[start:start+m]), planarOf(x[start+n:start+n+m]))
+		slideOracle(bins, x[start:start+m], x[start+n:start+n+m])
+		s.SlideRotatedPlanar(pbins, slideDiffs(x, start, n, m), delta)
+		delta -= m
 		start += m
-		requirePlanarEqual(t, "slide", pbins, bins)
+		Interleave(got, pbins)
+		rampMod(got, -delta, n)
+		if d := MaxAbsDiff(got, bins); d > 1e-10 {
+			t.Fatalf("after slide to %d: planar differs from interleaved by %g", start, d)
+		}
 	}
 }
 
+// TestSlideRotatedPlanarMatchesInterleaved pins the full rotated slide to
+// the interleaved oracle over every bin, through both the m == 4
+// specialisation and the generic loop, along one slide chain.
 func TestSlideRotatedPlanarMatchesInterleaved(t *testing.T) {
 	const n = 64
 	r := NewRand(19)
 	x := randSignal(r, 6*n)
 	s := MustSlidingDFT(n)
-	bins := FFT(x[:n])
+	bins := fftOracle(x[:n], false)
 	CorrectTestRamp(bins, 16, n)
 	pbins := planarOf(bins)
-	sel := []int{0, 3, 17, 40, 63}
-	sparse := append([]complex128(nil), bins...)
-	psparse := planarOf(bins)
+	full := allBins(n)
 
 	delta := 16
 	start := 0
-	for _, m := range []int{1, 4, 2, 3, 4} {
+	for _, m := range []int{1, 4, 2, 3, 4, 1} {
 		diffs := make([]complex128, m)
 		for j := range diffs {
 			diffs[j] = x[start+n+j] - x[start+j]
 		}
-		pd := planarOf(diffs)
-		s.SlideRotated(bins, diffs, delta)
-		s.SlideRotatedPlanar(pbins, pd, delta)
+		slideRotatedBins(bins, diffs, delta, full)
+		s.SlideRotatedPlanar(pbins, planarOf(diffs), delta)
 		requirePlanarEqual(t, "rotated", pbins, bins)
-
-		s.SlideRotatedBins(sparse, diffs, delta, sel)
-		s.SlideRotatedBinsPlanar(psparse, pd, delta, sel)
-		for _, k := range sel {
-			if psparse.At(k) != sparse[k] {
-				t.Fatalf("sparse planar bin %d: %v, want %v", k, psparse.At(k), sparse[k])
-			}
-		}
-
 		delta -= m
 		start += m
 	}
 }
 
 // TestSlideRotatedTabMatchesBins pins the precomputed-schedule kernel to
-// SlideRotatedBins: identical values at the selected bins, untouched
-// elsewhere, both aliased (dst == src) and copying (dst != src).
+// the interleaved sparse oracle (slideRotatedBins): identical values at
+// the selected bins, untouched elsewhere, both aliased (dst == src) and
+// copying (dst != src).
 func TestSlideRotatedTabMatchesBins(t *testing.T) {
 	const n = 64
 	r := NewRand(23)
@@ -168,7 +167,7 @@ func TestSlideRotatedTabMatchesBins(t *testing.T) {
 	sel := []int{1, 2, 30, 31, 62}
 	for _, m := range []int{1, 2, 3, 4, 5} {
 		for _, delta := range []int{0, 5, 16, n, n + 3, -7} {
-			want := FFT(x[:n])
+			want := fftOracle(x[:n], false)
 			diffs := make([]complex128, m)
 			for j := range diffs {
 				diffs[j] = x[n+j] - x[j]
@@ -184,7 +183,7 @@ func TestSlideRotatedTabMatchesBins(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SlideRotatedTab(dst, src, planarOf(diffs), tab)
-			s.SlideRotatedBins(want, diffs, delta, sel)
+			slideRotatedBins(want, diffs, delta, sel)
 			for _, k := range sel {
 				if dst.At(k) != want[k] {
 					t.Fatalf("m=%d delta=%d bin %d: tab %v, want %v", m, delta, k, dst.At(k), want[k])
@@ -232,18 +231,8 @@ func TestSlideRotatedTabMatchesBins(t *testing.T) {
 	}
 }
 
-func TestFreqShiftPlanarMatchesInterleaved(t *testing.T) {
-	r := NewRand(29)
-	x := randSignal(r, 1000)
-	want := append([]complex128(nil), x...)
-	FreqShift(want, 3.7, 256, 129)
-	p := planarOf(x)
-	FreqShiftPlanar(p, 3.7, 256, 129)
-	requirePlanarEqual(t, "freqshift", p, want)
-}
-
 // BenchmarkPlanarForward256 measures the planar FFT butterflies at the
-// receiver's composite-grid size (compare BenchmarkForward256).
+// receiver's composite-grid size.
 func BenchmarkPlanarForward256(b *testing.B) {
 	const n = 256
 	p := MustFFTPlan(n)
@@ -260,14 +249,13 @@ func BenchmarkPlanarForward256(b *testing.B) {
 
 // BenchmarkPlanarSlideRotatedTab measures the precomputed-schedule sparse
 // rotated slide on the receiver hot-path shape: 52 selected bins of a
-// 256-bin window, stride-4 diffs (compare BenchmarkSlidingDFTSlide4,
-// which updates all 256 bins).
+// 256-bin window, stride-4 diffs.
 func BenchmarkPlanarSlideRotatedTab(b *testing.B) {
 	const n = 256
 	s := MustSlidingDFT(n)
 	r := NewRand(1)
 	x := randSignal(r, 2*n)
-	bins := planarOf(FFT(x[:n]))
+	bins := planarOf(fft(x[:n]))
 	diffs := planarOf(x[n : n+4])
 	sel := make([]int, 0, 52)
 	for k := 38; k <= 90; k++ {
@@ -303,29 +291,7 @@ func BenchmarkPlanarSlideRotatedTabScalar(b *testing.B) {
 	BenchmarkPlanarSlideRotatedTab(b)
 }
 
-// BenchmarkPlanarFreqShift measures the planar frequency shift over one
-// data-symbol-sized window (compare BenchmarkFreqShift, which covers a
-// whole packet).
-func BenchmarkPlanarFreqShift(b *testing.B) {
-	const n = 320
-	r := NewRand(1)
-	x := planarOf(randSignal(r, n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FreqShiftPlanar(x, 3.7, 256, i*n)
-	}
-}
-
-// BenchmarkPlanarFreqShiftScalar is BenchmarkPlanarFreqShift with the
-// SIMD dispatch forced off.
-func BenchmarkPlanarFreqShiftScalar(b *testing.B) {
-	ForceScalar(true)
-	defer ForceScalar(false)
-	BenchmarkPlanarFreqShift(b)
-}
-
-// CorrectTestRamp applies the rotated-domain ramp used by the SlideRotated
+// CorrectTestRamp applies the rotated-domain ramp used by the rotated-slide
 // tests: bins[k] *= e^{+i 2π k delta / n}.
 func CorrectTestRamp(bins []complex128, delta, n int) {
 	for k := range bins {

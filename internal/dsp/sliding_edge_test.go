@@ -1,65 +1,78 @@
 package dsp
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestSlideRotatedBinsEdgeCases covers the selection-driven corner cases
-// of the sparse rotated slide: an empty selection is a no-op, the full-bin
-// selection is exactly equivalent to SlideRotated, and delta values at or
-// beyond the window size reduce mod N (including negative deltas).
+// of the sparse rotated slide (SlideTabFor + SlideRotatedTab): an empty
+// selection is a no-op, the full-bin selection is exactly equivalent to
+// SlideRotatedPlanar, delta values at or beyond the window size reduce
+// mod N (including negative deltas) in both kernels, and steps outside
+// [1, N] are refused.
 func TestSlideRotatedBinsEdgeCases(t *testing.T) {
 	const n = 64
 	r := NewRand(37)
 	x := randSignal(r, 3*n)
 	s := MustSlidingDFT(n)
-	diffs := make([]complex128, 3)
-	for j := range diffs {
-		diffs[j] = x[n+j] - x[j]
+	diffs := planarOf([]complex128{x[n] - x[0], x[n+1] - x[1], x[n+2] - x[2]})
+	before := fft(x[:n])
+	requireUnchanged := func(ctx string, p Planar) {
+		t.Helper()
+		for k, v := range before {
+			if p.At(k) != v {
+				t.Fatalf("%s changed bin %d: %v, was %v", ctx, k, p.At(k), v)
+			}
+		}
+	}
+	slideTab := func(bins Planar, delta int, sel []int) {
+		t.Helper()
+		tab, err := s.SlideTabFor(delta, diffs.Len(), sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SlideRotatedTab(bins, bins, diffs, tab)
 	}
 
 	// Empty selection: no bin may change.
-	bins := FFT(x[:n])
-	before := append([]complex128(nil), bins...)
-	s.SlideRotatedBins(bins, diffs, 7, nil)
-	s.SlideRotatedBins(bins, diffs, 7, []int{})
-	if d := MaxAbsDiff(bins, before); d != 0 {
-		t.Fatalf("empty selection changed bins by %g", d)
-	}
+	bins := planarOf(before)
+	slideTab(bins, 7, nil)
+	slideTab(bins, 7, []int{})
+	requireUnchanged("empty selection", bins)
 
-	// Full-bin selection ≡ SlideRotated, bit for bit.
-	full := make([]int, n)
-	for k := range full {
-		full[k] = k
-	}
-	want := append([]complex128(nil), before...)
-	s.SlideRotated(want, diffs, 7)
-	s.SlideRotatedBins(bins, diffs, 7, full)
-	for k := range bins {
-		if bins[k] != want[k] {
-			t.Fatalf("full selection bin %d: %v, want %v", k, bins[k], want[k])
-		}
-	}
+	// Full-bin selection ≡ SlideRotatedPlanar, bit for bit.
+	full := allBins(n)
+	want := planarOf(before)
+	s.SlideRotatedPlanar(want, diffs, 7)
+	slideTab(bins, 7, full)
+	requirePlanarBitsEqual(t, "full selection", bins, want)
 
 	// Delta wraps: δ, δ±N and δ+2N must produce identical updates, and
 	// δ = N must behave as δ = 0.
 	for _, base := range []int{0, 1, n - 1} {
-		ref := append([]complex128(nil), before...)
-		s.SlideRotatedBins(ref, diffs, base, full)
+		ref := planarOf(before)
+		slideTab(ref, base, full)
 		for _, delta := range []int{base + n, base + 2*n, base - n} {
-			got := append([]complex128(nil), before...)
-			s.SlideRotatedBins(got, diffs, delta, full)
-			for k := range got {
-				if got[k] != ref[k] {
-					t.Fatalf("delta %d bin %d: %v, want %v (δ=%d)", delta, k, got[k], ref[k], base)
-				}
-			}
+			got := planarOf(before)
+			slideTab(got, delta, full)
+			requirePlanarBitsEqual(t, fmt.Sprintf("tab delta %d (δ=%d)", delta, base), got, ref)
+			got = planarOf(before)
+			s.SlideRotatedPlanar(got, diffs, delta)
+			requirePlanarBitsEqual(t, fmt.Sprintf("planar delta %d (δ=%d)", delta, base), got, ref)
 		}
 	}
 
-	// m = 0 is a no-op even with a selection; m > N panics.
-	bins2 := append([]complex128(nil), before...)
-	s.SlideRotatedBins(bins2, nil, 5, full)
-	if d := MaxAbsDiff(bins2, before); d != 0 {
-		t.Fatalf("zero-step slide changed bins by %g", d)
+	// m = 0 is a no-op for the full slide and refused as a table step; m >
+	// N panics in the full slide and is refused as a table step.
+	bins2 := planarOf(before)
+	s.SlideRotatedPlanar(bins2, NewPlanar(0), 5)
+	requireUnchanged("zero-step slide", bins2)
+	if _, err := s.SlideTabFor(5, 0, full); err == nil {
+		t.Fatal("zero step accepted")
+	}
+	if _, err := s.SlideTabFor(5, n+1, full); err == nil {
+		t.Fatal("oversized step accepted")
 	}
 	func() {
 		defer func() {
@@ -67,7 +80,7 @@ func TestSlideRotatedBinsEdgeCases(t *testing.T) {
 				t.Fatal("oversized step did not panic")
 			}
 		}()
-		s.SlideRotatedBins(bins2, make([]complex128, n+1), 5, full)
+		s.SlideRotatedPlanar(bins2, NewPlanar(n+1), 5)
 	}()
 }
 

@@ -10,9 +10,10 @@ import (
 // m restricted to a fixed bin selection, flattened in (bin-major, j-minor)
 // order as re/im pairs. Receivers advance the same segment plan over every
 // OFDM symbol, so the (delta, m, sel) triple of each slide recurs
-// packet after packet; the table replaces all modular index arithmetic of
-// SlideRotatedBins with one linear read stream. Tables are immutable and
-// cached on the SlidingDFT, so they are safe for concurrent use.
+// packet after packet; the table replaces all the modular index
+// arithmetic of SlideRotatedPlanar's twiddle walk with one linear read
+// stream. Tables are immutable and cached on the SlidingDFT, so they are
+// safe for concurrent use.
 type SlideTab struct {
 	m   int
 	sel []int
@@ -93,8 +94,8 @@ func (s *SlidingDFT) SlideTabFor(delta, m int, sel []int) (*SlideTab, error) {
 		if k < 0 || k >= n {
 			return nil, fmt.Errorf("dsp: SlideTabFor bin %d outside [0,%d)", k, n)
 		}
-		// The same index walk as SlideRotatedBins: start at (base·k) mod n,
-		// step k per j. The stored values are copies of the same twiddle
+		// The same index walk as SlideRotatedPlanar: start at (base·k) mod
+		// n, step k per j. The stored values are copies of the same twiddle
 		// table, so products computed from them are bit-identical.
 		idx := (base * k) % n
 		for j := 0; j < m; j++ {
@@ -116,11 +117,11 @@ func (s *SlidingDFT) SlideTabFor(delta, m int, sel []int) (*SlideTab, error) {
 
 // SlideRotatedTab advances src's rotated spectrum by the table's step into
 // dst at the table's selected bins only: dst[k] = src[k] + Σ_j diffs[j]·
-// e^{+i 2π k (δ−j) / N}, in arithmetic identical to SlideRotatedBins (and
-// its planar twin), fused with the copy so unselected dst bins are left
+// e^{+i 2π k (δ−j) / N}, in arithmetic identical to SlideRotatedPlanar at
+// those bins, fused with the copy so unselected dst bins are left
 // untouched. diffs must hold exactly Step() samples. src and dst may alias
 // (the update is per-bin in place); when they are distinct buffers the
-// caller saves the full-window copy the in-place kernels require.
+// caller saves the full-window copy SlideRotatedPlanar requires.
 func (s *SlidingDFT) SlideRotatedTab(dst, src, diffs Planar, tab *SlideTab) {
 	n := s.n
 	if dst.Len() != n || src.Len() != n {

@@ -14,34 +14,52 @@ func randSignal(r *Rand, n int) []complex128 {
 	return x
 }
 
+// rampMod applies R_δ[k] = e^{+i 2π k δ / n} to bins, with δ first
+// reduced to [0, n) (R_δ is n-periodic in δ), so long slide chains keep
+// the ramp angle small and exact.
+func rampMod(bins []complex128, delta, n int) {
+	CorrectTestRamp(bins, ((delta%n)+n)%n, n)
+}
+
+// slideDiffs returns x[t+n+j] − x[t+j] for j < m: the entering minus the
+// leaving sample of a slide by m from the window at t.
+func slideDiffs(x []complex128, t, n, m int) Planar {
+	d := NewPlanar(m)
+	for j := 0; j < m; j++ {
+		d.Set(j, x[t+n+j]-x[t+j])
+	}
+	return d
+}
+
 // TestSlidingDFTMatchesForward slides a window over a long random stream
-// with every stride in 1..5 (and a mixed-stride walk) across several window
-// sizes, comparing each slid spectrum against a direct transform of the same
+// with every stride in 1..5 across several window sizes, comparing each
+// slid (rotated) spectrum against a ramped direct transform of the same
 // window. The tolerance bounds the per-slide numerical drift of the
 // recurrence; hundreds of consecutive slides stay far below 1e-9.
 func TestSlidingDFTMatchesForward(t *testing.T) {
 	r := NewRand(42)
 	for _, n := range []int{8, 64, 256} {
-		plan := MustFFTPlan(n)
 		x := randSignal(r, n+1024)
 		for _, stride := range []int{1, 2, 3, 4, 5} {
 			s := MustSlidingDFT(n)
-			bins := make([]complex128, n)
-			copy(bins, x[:n])
-			plan.Forward(bins)
-			want := make([]complex128, n)
+			bins := planarOf(x[:n])
+			MustFFTPlan(n).ForwardPlanar(bins)
+			got := make([]complex128, n)
+			delta := 0
 			slides := 0
 			for start := 0; start+stride+n <= len(x); start += stride {
-				s.Slide(bins, x[start:start+stride], x[start+n:start+n+stride])
+				s.SlideRotatedPlanar(bins, slideDiffs(x, start, n, stride), delta)
+				delta -= stride
 				slides++
 				// Spot-check every few slides (and always the last) to keep
-				// the O(n²) oracle cost down.
+				// the oracle cost down.
 				if slides%7 != 0 && start+2*stride+n <= len(x) {
 					continue
 				}
-				copy(want, x[start+stride:start+stride+n])
-				plan.Forward(want)
-				if d := MaxAbsDiff(bins, want); d > 1e-9 {
+				want := fft(x[start+stride : start+stride+n])
+				rampMod(want, delta, n)
+				Interleave(got, bins)
+				if d := MaxAbsDiff(got, want); d > 1e-9 {
 					t.Fatalf("n=%d stride=%d after %d slides: max diff %g", n, stride, slides, d)
 				}
 			}
@@ -57,23 +75,24 @@ func TestSlidingDFTMatchesForward(t *testing.T) {
 func TestSlidingDFTMixedSteps(t *testing.T) {
 	const n = 64
 	r := NewRand(7)
-	plan := MustFFTPlan(n)
 	x := randSignal(r, 4*n)
 	s := MustSlidingDFT(n)
-	bins := make([]complex128, n)
-	copy(bins, x[:n])
-	plan.Forward(bins)
-	want := make([]complex128, n)
+	bins := planarOf(x[:n])
+	MustFFTPlan(n).ForwardPlanar(bins)
+	got := make([]complex128, n)
+	delta := 0
 	start := 0
 	for _, m := range []int{0, 1, 3, 4, 2, n, 5, 1} {
 		if start+m+n > len(x) {
 			break
 		}
-		s.Slide(bins, x[start:start+m], x[start+n:start+n+m])
+		s.SlideRotatedPlanar(bins, slideDiffs(x, start, n, m), delta)
+		delta -= m
 		start += m
-		copy(want, x[start:start+n])
-		plan.Forward(want)
-		if d := MaxAbsDiff(bins, want); d > 1e-10 {
+		want := fft(x[start : start+n])
+		rampMod(want, delta, n)
+		Interleave(got, bins)
+		if d := MaxAbsDiff(got, want); d > 1e-10 {
 			t.Fatalf("after step %d (window at %d): max diff %g", m, start, d)
 		}
 	}
@@ -86,11 +105,16 @@ func TestSlidingDFTNonPow2(t *testing.T) {
 	r := NewRand(3)
 	x := randSignal(r, 5*n)
 	s := MustSlidingDFT(n)
-	bins := DFTNaive(x[:n])
+	bins := planarOf(dftNaive(x[:n]))
+	got := make([]complex128, n)
+	delta := 0
 	for start := 0; start+1+n <= 3*n; start++ {
-		s.Slide(bins, x[start:start+1], x[start+n:start+n+1])
-		want := DFTNaive(x[start+1 : start+1+n])
-		if d := MaxAbsDiff(bins, want); d > 1e-9 {
+		s.SlideRotatedPlanar(bins, slideDiffs(x, start, n, 1), delta)
+		delta--
+		want := dftNaive(x[start+1 : start+1+n])
+		rampMod(want, delta, n)
+		Interleave(got, bins)
+		if d := MaxAbsDiff(got, want); d > 1e-9 {
 			t.Fatalf("start %d: max diff %g", start+1, d)
 		}
 	}
@@ -111,15 +135,11 @@ func TestPlanForCachesAndTransforms(t *testing.T) {
 	// A cached plan must behave exactly like a fresh one.
 	r := NewRand(9)
 	x := randSignal(r, 128)
-	fresh := make([]complex128, 128)
-	copy(fresh, x)
-	MustFFTPlan(128).Forward(fresh)
-	cached := make([]complex128, 128)
-	copy(cached, x)
-	p1.Forward(cached)
-	if d := MaxAbsDiff(fresh, cached); d != 0 {
-		t.Fatalf("cached plan diverges from fresh plan by %g", d)
-	}
+	fresh := planarOf(x)
+	MustFFTPlan(128).ForwardPlanar(fresh)
+	cached := planarOf(x)
+	p1.ForwardPlanar(cached)
+	requirePlanarBitsEqual(t, "cached plan vs fresh plan", cached, fresh)
 }
 
 // wrapPhaseLoop is the original O(|θ|/π) reference implementation.
@@ -176,33 +196,8 @@ func TestFreqShiftPhasorAccuracy(t *testing.T) {
 	}
 }
 
-func BenchmarkSlidingDFTSlide4(b *testing.B) {
-	const n = 256
-	s := MustSlidingDFT(n)
-	r := NewRand(1)
-	x := randSignal(r, 2*n)
-	bins := FFT(x[:n])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Slide(bins, x[:4], x[n:n+4])
-	}
-}
-
-func BenchmarkForward256(b *testing.B) {
-	const n = 256
-	p := MustFFTPlan(n)
-	r := NewRand(1)
-	x := randSignal(r, n)
-	buf := make([]complex128, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		p.Forward(buf)
-	}
-}
-
+// BenchmarkFreqShift measures the interleaved frequency shift over a
+// 4096-sample stream.
 func BenchmarkFreqShift(b *testing.B) {
 	r := NewRand(1)
 	x := randSignal(r, 4096)
@@ -215,52 +210,44 @@ func BenchmarkFreqShift(b *testing.B) {
 
 // TestSlideRotatedMatchesRampedForward checks the rotated-domain slide:
 // starting from a ramped spectrum R_δ·DFT(w₀), successive slides must
-// track R_{δ−Σm}·DFT(w_t) as computed directly.
+// track R_{δ−Σm}·DFT(w_t) as computed directly, and the sparse
+// precomputed-schedule slide must match the full one exactly at its
+// selected bins.
 func TestSlideRotatedMatchesRampedForward(t *testing.T) {
 	const n = 64
 	r := NewRand(11)
-	plan := MustFFTPlan(n)
 	x := randSignal(r, 6*n)
 	s := MustSlidingDFT(n)
 
-	ramp := func(bins []complex128, delta int) {
-		for k := range bins {
-			theta := 2 * math.Pi * float64(k) * float64(delta) / float64(n)
-			sv, cv := math.Sincos(theta)
-			bins[k] *= complex(cv, sv)
-		}
-	}
-
 	delta := 16
-	bins := make([]complex128, n)
-	copy(bins, x[:n])
-	plan.Forward(bins)
-	ramp(bins, delta)
+	start0 := fft(x[:n])
+	CorrectTestRamp(start0, delta, n)
+	bins := planarOf(start0)
 
 	sel := []int{0, 1, 5, 17, 40, 63}
-	sparse := append([]complex128(nil), bins...)
+	sparse := planarOf(start0)
 
 	start := 0
-	diffs := make([]complex128, 4)
-	want := make([]complex128, n)
+	got := make([]complex128, n)
 	for _, m := range []int{1, 4, 2, 3, 4, 1, 1} {
-		d := diffs[:m]
-		for j := 0; j < m; j++ {
-			d[j] = x[start+n+j] - x[start+j]
+		d := slideDiffs(x, start, n, m)
+		tab, err := s.SlideTabFor(delta, m, sel)
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.SlideRotated(bins, d, delta)
-		s.SlideRotatedBins(sparse, d, delta, sel)
+		s.SlideRotatedPlanar(bins, d, delta)
+		s.SlideRotatedTab(sparse, sparse, d, tab)
 		delta -= m
 		start += m
 
-		copy(want, x[start:start+n])
-		plan.Forward(want)
-		ramp(want, delta)
-		if diff := MaxAbsDiff(bins, want); diff > 1e-10 {
+		want := fft(x[start : start+n])
+		CorrectTestRamp(want, delta, n)
+		Interleave(got, bins)
+		if diff := MaxAbsDiff(got, want); diff > 1e-10 {
 			t.Fatalf("after slide to %d (δ=%d): diff %g", start, delta, diff)
 		}
 		for _, k := range sel {
-			if d := cmplxAbs(sparse[k] - bins[k]); d != 0 {
+			if d := cmplxAbs(sparse.At(k) - bins.At(k)); d != 0 {
 				t.Fatalf("sparse bin %d differs from full update by %g", k, d)
 			}
 		}

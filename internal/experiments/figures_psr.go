@@ -69,7 +69,7 @@ func Fig14(o Options) (*Table, error) { return runNamedSweep("fig14", o) }
 
 // AblationDecision compares the decision-rule realisations (and the Naive
 // and Oracle references) across an ACI SIR sweep — the design-choice study
-// of DESIGN.md §5.
+// behind the default decision rule, core.DecisionModelWeighted.
 func AblationDecision(o Options) (*Table, error) { return runNamedSweep("ablation-decision", o) }
 
 // DelaySpreadSweep reproduces the §6 discussion accompanying Fig. 14:

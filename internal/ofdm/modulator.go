@@ -14,8 +14,7 @@ import (
 type Modulator struct {
 	grid Grid
 	plan *dsp.FFTPlan
-	freq []complex128 // scratch frequency-domain buffer
-	body []complex128 // scratch time-domain buffer for SymbolInto
+	body dsp.Planar // scratch: the symbol's bins, transformed in place to its body
 }
 
 // NewModulator returns a modulator for the grid. The FFT plan comes from
@@ -31,8 +30,7 @@ func NewModulator(g Grid) (*Modulator, error) {
 	return &Modulator{
 		grid: g,
 		plan: p,
-		freq: make([]complex128, g.NFFT),
-		body: make([]complex128, g.NFFT),
+		body: dsp.NewPlanar(g.NFFT),
 	}, nil
 }
 
@@ -54,11 +52,10 @@ func (m *Modulator) Grid() Grid { return m.grid }
 // signal has average power len(values)/NFFT × gain²; use GainForUnitPower
 // to normalise.
 func (m *Modulator) Symbol(values map[int]complex128) []complex128 {
-	for i := range m.freq {
-		m.freq[i] = 0
-	}
+	clear(m.body.Re)
+	clear(m.body.Im)
 	for sc, v := range values {
-		m.freq[m.grid.Bin(sc)] = v
+		m.body.Set(m.grid.Bin(sc), v)
 	}
 	return m.timeSymbol()
 }
@@ -69,7 +66,7 @@ func (m *Modulator) SymbolFromBins(bins []complex128) []complex128 {
 	if len(bins) != m.grid.NFFT {
 		panic(fmt.Sprintf("ofdm: SymbolFromBins got %d bins, want %d", len(bins), m.grid.NFFT))
 	}
-	copy(m.freq, bins)
+	dsp.Deinterleave(m.body, bins)
 	return m.timeSymbol()
 }
 
@@ -79,20 +76,19 @@ func (m *Modulator) timeSymbol() []complex128 {
 	return out
 }
 
-// timeSymbolInto synthesises the symbol for the current m.freq contents
-// into out (length SymLen), without allocating.
+// timeSymbolInto synthesises the symbol for the bins in m.body into out
+// (length SymLen), without allocating.
 func (m *Modulator) timeSymbolInto(out []complex128) {
-	n := m.grid.NFFT
+	n, cp := m.grid.NFFT, m.grid.CP
 	body := m.body
-	copy(body, m.freq)
-	m.plan.Inverse(body)
+	m.plan.InversePlanar(body)
 	// The IFFT's 1/N scaling makes occupied-bin amplitudes tiny in the time
 	// domain; scale by N so that a single occupied unit bin produces a unit
 	// amplitude complex exponential, keeping powers comparable across grid
 	// sizes (an oversampled embedding then has identical sample power).
-	dsp.Scale(body, float64(n))
-	copy(out, body[n-m.grid.CP:])
-	copy(out[m.grid.CP:], body)
+	body.Scale(float64(n))
+	dsp.Interleave(out[:cp], dsp.Planar{Re: body.Re[n-cp:], Im: body.Im[n-cp:]})
+	dsp.Interleave(out[cp:], body)
 }
 
 // SymbolFromBinsInto synthesises one OFDM symbol from a full
@@ -106,7 +102,7 @@ func (m *Modulator) SymbolFromBinsInto(out, bins []complex128) {
 	if len(out) != m.grid.SymLen() {
 		panic(fmt.Sprintf("ofdm: SymbolFromBinsInto got %d output samples, want %d", len(out), m.grid.SymLen()))
 	}
-	copy(m.freq, bins)
+	dsp.Deinterleave(m.body, bins)
 	m.timeSymbolInto(out)
 }
 
@@ -123,18 +119,18 @@ func (m *Modulator) GainForUnitPower(nOccupied int) float64 {
 // Demodulator computes FFT windows over a received stream on a Grid,
 // including the multi-segment windows CPRecycle uses. The batch
 // SegmentsPlanar/SegmentsOnPlanar methods compute all P windows of a
-// symbol with one seed FFT plus incremental sliding-DFT updates — running
-// entirely on planar (split re/im) buffers, with per-slide twiddle
-// schedules (dsp.SlideTab) and cached Eq. 2 phase-ramp tables — and the
-// interleaved Segments/SegmentsOn forms are thin converting wrappers over
-// the same planar core. Not safe for concurrent use.
+// symbol with one seed FFT plus incremental sliding-DFT updates, running
+// entirely on planar (split re/im) buffers with per-slide twiddle
+// schedules (dsp.SlideTab) and cached Eq. 2 phase-ramp tables, and
+// return planar windows. WindowAt/WindowInto/Standard return a single
+// interleaved window. Not safe for concurrent use.
 type Demodulator struct {
 	grid   Grid
 	plan   *dsp.FFTPlan
 	sdft   *dsp.SlidingDFT
 	diffs  dsp.Planar        // scaled sample-difference scratch for slides
+	win    dsp.Planar        // single-window FFT scratch for WindowInto
 	rampsP map[int][]float64 // Eq. 2 ramp tables as (re, im) float pairs
-	iw     []dsp.Planar      // planar scratch backing the interleaved wrappers
 
 	// Memoised twiddle schedules for the current (offsets, sel) pair:
 	// receivers advance the same segment plan every symbol, so the
@@ -201,9 +197,13 @@ func (d *Demodulator) WindowInto(dst, rx []complex128, start int) error {
 	if start < 0 || start+n > len(rx) {
 		return fmt.Errorf("ofdm: window [%d,%d) outside rx of %d samples", start, start+n, len(rx))
 	}
-	copy(dst, rx[start:start+n])
-	d.plan.Forward(dst)
-	dsp.Scale(dst, 1/float64(n))
+	if d.win.Len() != n {
+		d.win = dsp.NewPlanar(n)
+	}
+	dsp.Deinterleave(d.win, rx[start:start+n])
+	d.plan.ForwardPlanar(d.win)
+	d.win.Scale(1 / float64(n))
+	dsp.Interleave(dst, d.win)
 	return nil
 }
 
@@ -214,59 +214,16 @@ func (d *Demodulator) Standard(rx []complex128, symStart int) ([]complex128, err
 	return d.WindowAt(rx, symStart+d.grid.CP)
 }
 
-// Segments demodulates the phase-corrected FFT windows for every CP offset
-// in offsets (strictly increasing, each in [0, CP]) of the symbol whose CP
-// starts at symStart — the paper's P segment windows — using one seed FFT
-// at the earliest offset plus an O(N·stride) sliding-DFT update per
-// further window, instead of P independent O(N log N) transforms.
-//
-// The batch runs on the planar core (SegmentsPlanar) and interleaves the
-// results into dst, whose slices are reused when they have the right
-// length and allocated otherwise; the (possibly grown) slice of windows is
-// returned. Each window matches the retired per-window Segment's output:
-// 1/N scaled and Eq. 2 phase-corrected, in bin order. Passing dst from a
+// SegmentsPlanar demodulates the phase-corrected FFT windows for every CP
+// offset in offsets (strictly increasing, each in [0, CP]) of the symbol
+// whose CP starts at symStart — the paper's P segment windows — using one
+// seed FFT at the earliest offset plus an O(N·stride) sliding-DFT update
+// per further window, instead of P independent O(N log N) transforms.
+// Each window is 1/N scaled and Eq. 2 phase-corrected, in bin order, and
+// matches a direct FFT of that window to sliding-DFT drift (the first is
+// bit-identical). The windows are returned as planar buffers, reused from
+// dst when correctly sized and allocated otherwise; passing dst from a
 // previous call makes the batch allocation-free.
-func (d *Demodulator) Segments(rx []complex128, symStart int, offsets []int, dst [][]complex128) ([][]complex128, error) {
-	var err error
-	d.iw, err = d.segmentsPlanar(rx, symStart, offsets, nil, d.iw)
-	if err != nil {
-		return nil, err
-	}
-	dst = growWindows(dst, len(offsets), d.grid.NFFT)
-	for i := range offsets {
-		dsp.Interleave(dst[i], d.iw[i])
-	}
-	return dst, nil
-}
-
-// SegmentsOn is Segments restricted to a fixed set of FFT bins: the first
-// (seed) window is always complete, but the slid windows are only updated
-// at the listed bins — in arithmetic identical to Segments — and hold
-// stale values elsewhere. Receivers that consume a fixed subcarrier set
-// (e.g. the 52 used 802.11 subcarriers out of a 256-bin composite grid)
-// skip most of the per-slide work this way.
-func (d *Demodulator) SegmentsOn(rx []complex128, symStart int, offsets, sel []int, dst [][]complex128) ([][]complex128, error) {
-	var err error
-	d.iw, err = d.SegmentsOnPlanar(rx, symStart, offsets, sel, d.iw)
-	if err != nil {
-		return nil, err
-	}
-	dst = growWindows(dst, len(offsets), d.grid.NFFT)
-	dsp.Interleave(dst[0], d.iw[0])
-	for i := 1; i < len(offsets); i++ {
-		out, w := dst[i], d.iw[i]
-		for _, k := range sel {
-			out[k] = complex(w.Re[k], w.Im[k])
-		}
-	}
-	return dst, nil
-}
-
-// SegmentsPlanar is the planar-native form of Segments: the seed FFT, the
-// Eq. 2 ramp and every sliding-DFT update run on split re/im planes, and
-// the windows are returned as planar buffers (reused from dst when
-// correctly sized). Values are identical to Segments — the planar kernels
-// mirror the interleaved arithmetic operation for operation.
 func (d *Demodulator) SegmentsPlanar(rx []complex128, symStart int, offsets []int, dst []dsp.Planar) ([]dsp.Planar, error) {
 	return d.segmentsPlanar(rx, symStart, offsets, nil, dst)
 }
@@ -274,12 +231,13 @@ func (d *Demodulator) SegmentsPlanar(rx []complex128, symStart int, offsets []in
 // SegmentsOnPlanar is SegmentsPlanar restricted to the listed FFT bins:
 // the seed window is complete, slid windows are valid at the selected bins
 // only — unselected bins hold whatever the reused buffer previously held
-// (the interleaved SegmentsOn wrapper shares this contract) — and the
-// batch therefore touches just len(sel) bins per slide. Receivers must
-// read slid windows only at selected bins.
+// — and the batch therefore touches just len(sel) bins per slide.
+// Receivers that consume a fixed subcarrier set (e.g. the 52 used 802.11
+// subcarriers out of a 256-bin composite grid) skip most of the per-slide
+// work this way, and must read slid windows only at selected bins.
 func (d *Demodulator) SegmentsOnPlanar(rx []complex128, symStart int, offsets, sel []int, dst []dsp.Planar) ([]dsp.Planar, error) {
 	if sel == nil {
-		return nil, fmt.Errorf("ofdm: SegmentsOn needs a bin selection")
+		return nil, fmt.Errorf("ofdm: SegmentsOnPlanar needs a bin selection")
 	}
 	for _, k := range sel {
 		if k < 0 || k >= d.grid.NFFT {
@@ -287,23 +245,6 @@ func (d *Demodulator) SegmentsOnPlanar(rx []complex128, symStart int, offsets, s
 		}
 	}
 	return d.segmentsPlanar(rx, symStart, offsets, sel, dst)
-}
-
-// growWindows sizes a reusable [][]complex128 window set.
-func growWindows(dst [][]complex128, count, n int) [][]complex128 {
-	if cap(dst) >= count {
-		dst = dst[:count] // window buffers beyond the old length are reused below
-	} else {
-		grown := make([][]complex128, count)
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	}
-	for i := range dst {
-		if len(dst[i]) != n {
-			dst[i] = make([]complex128, n)
-		}
-	}
-	return dst
 }
 
 // slideTabs returns the memoised per-slide twiddle schedules for
@@ -411,52 +352,33 @@ func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel
 // rampKey identifies a cached phase-ramp table.
 type rampKey struct{ n, delta int }
 
-// rampCache holds the Eq. 2 phase-ramp tables process-wide: the tables
-// depend only on (NFFT, delta), and receivers reuse the same handful of
-// deltas for every symbol of every packet.
-var rampCache sync.Map // rampKey -> []complex128
-
-// rampPairedCache mirrors rampCache for the planar form of the tables:
-// the same values as (re, im) float pairs, shared process-wide so
-// per-frame (and per-fork) demodulators never rebuild them.
+// rampPairedCache holds the Eq. 2 phase-ramp tables process-wide as
+// (re, im) float pairs: the tables depend only on (NFFT, delta), and
+// receivers reuse the same handful of deltas for every symbol of every
+// packet, so per-frame (and per-fork) demodulators never rebuild them.
 var rampPairedCache sync.Map // rampKey -> []float64
 
-// rampPairedFor returns the cached (re, im)-paired copy of rampFor(n, delta).
+// rampPairedFor returns the cached table e^{+i 2π k delta / N}, k in
+// [0, N), as (re, im) pairs.
 func rampPairedFor(n, delta int) []float64 {
 	key := rampKey{n, delta}
 	if v, ok := rampPairedCache.Load(key); ok {
 		return v.([]float64)
 	}
-	src := rampFor(n, delta)
-	t := make([]float64, 2*len(src))
-	for k, r := range src {
-		t[2*k], t[2*k+1] = real(r), imag(r)
+	w := 2 * math.Pi * float64(delta) / float64(n)
+	t := make([]float64, 2*n)
+	for k := 0; k < n; k++ {
+		s, c := math.Sincos(w * float64(k))
+		t[2*k], t[2*k+1] = c, s
 	}
 	v, _ := rampPairedCache.LoadOrStore(key, t)
 	return v.([]float64)
 }
 
-// rampFor returns the cached table e^{+i 2π k delta / N} for k in [0, N).
-// Entries are computed exactly as CorrectSegmentPhase does, so applying
-// the table is bit-identical to the per-call Sincos loop.
-func rampFor(n, delta int) []complex128 {
-	key := rampKey{n, delta}
-	if v, ok := rampCache.Load(key); ok {
-		return v.([]complex128)
-	}
-	w := 2 * math.Pi * float64(delta) / float64(n)
-	t := make([]complex128, n)
-	for k := range t {
-		s, c := math.Sincos(w * float64(k))
-		t[k] = complex(c, s)
-	}
-	v, _ := rampCache.LoadOrStore(key, t)
-	return v.([]complex128)
-}
-
-// correctSegmentPhasePlanar applies the cached Eq. 2 ramp for delta to a
-// planar window, with the complex multiply expanded to the same float
-// operations as the interleaved CorrectSegmentPhase.
+// correctSegmentPhasePlanar removes the phase ramp caused by starting the
+// FFT window delta samples early (relative to the standard CP-skipping
+// window): bin k is multiplied by e^{+i 2π k delta / N}, from the cached
+// table. This is Eq. 2 of the paper.
 func (d *Demodulator) correctSegmentPhasePlanar(bins dsp.Planar, delta int) {
 	if delta == 0 || bins.Len() == 0 {
 		return
@@ -475,18 +397,6 @@ func (d *Demodulator) correctSegmentPhasePlanar(bins dsp.Planar, delta int) {
 		br, bi := re[k], im[k]
 		re[k] = br*tr - bi*ti
 		im[k] = br*ti + bi*tr
-	}
-}
-
-// CorrectSegmentPhase removes the phase ramp caused by starting the FFT
-// window delta samples early (relative to the standard CP-skipping window):
-// bin k is multiplied by e^{+i 2π k delta / N}. This is Eq. 2 of the paper.
-func CorrectSegmentPhase(bins []complex128, delta int) {
-	if delta == 0 || len(bins) == 0 {
-		return
-	}
-	for k, r := range rampFor(len(bins), delta) {
-		bins[k] *= r
 	}
 }
 

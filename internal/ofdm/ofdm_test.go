@@ -150,10 +150,10 @@ func TestSegmentRejectsBadOffset(t *testing.T) {
 	g := Native80211Grid()
 	d := MustDemodulator(g)
 	rx := make([]complex128, g.SymLen())
-	if _, err := d.Segments(rx, 0, []int{-1}, nil); err == nil {
+	if _, err := d.SegmentsPlanar(rx, 0, []int{-1}, nil); err == nil {
 		t.Fatal("negative offset should fail")
 	}
-	if _, err := d.Segments(rx, 0, []int{g.CP + 1}, nil); err == nil {
+	if _, err := d.SegmentsPlanar(rx, 0, []int{g.CP + 1}, nil); err == nil {
 		t.Fatal("offset beyond CP should fail")
 	}
 }
@@ -171,9 +171,10 @@ func TestWindowAtBounds(t *testing.T) {
 func TestCorrectSegmentPhaseZeroDelta(t *testing.T) {
 	r := dsp.NewRand(3)
 	x := r.CNVector(64, 1)
-	y := append([]complex128{}, x...)
-	CorrectSegmentPhase(y, 0)
-	if dsp.MaxAbsDiff(x, y) != 0 {
+	y := dsp.NewPlanar(len(x))
+	dsp.Deinterleave(y, x)
+	MustDemodulator(Native80211Grid()).correctSegmentPhasePlanar(y, 0)
+	if dsp.MaxAbsDiff(x, interleaved(y)) != 0 {
 		t.Fatal("delta 0 must be identity")
 	}
 }
