@@ -31,18 +31,19 @@ test-purego:
 
 # Race-detector pass over the concurrent paths: the sweep engine and the
 # distributed coordinator/worker tier (and the packages whose shared
-# caches they exercise), the intra-packet parallel symbol decode in rx
-# (hard and soft), the dsp kernel dispatch (shared SlideTab/FFT-plan
-# caches + the ForceScalar toggle), and the Viterbi decoder (the shared
-# decision-word pool and the ACS kernel choice under concurrent decodes).
+# caches they exercise, rx included), the dsp kernel dispatch (shared
+# SlideTab/FFT-plan caches + the ForceScalar toggle), and the Viterbi
+# decoder (the shared decision-word pool and the ACS kernel choice under
+# concurrent decodes).
 test-race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
-# pool) plus a 2-worker parallel-decode equivalence check, as run in CI.
+# pool) plus the same-seed decision pins, direct and packet-range
+# sharded, as run in CI.
 smoke:
 	$(GO) run ./cmd/cprecycle-bench -experiment fig8 -packets 8 -bytes 60 -pool
-	$(GO) test -run 'TestDecodeDataParallelMatchesSerial|TestRunPSRParallelDecodeRegression' ./internal/rx/ ./internal/experiments/
+	$(GO) test -run 'TestRunPSRSameSeedRegression|TestRunRangeShardedMatchesRegression' ./internal/experiments/
 
 # Distributed smoke: coordinator + two worker processes on localhost run
 # the same short fig8 sweep, streamed over SSE, and the final table must

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/sweep"
@@ -321,5 +325,59 @@ func TestServeHistorySurface(t *testing.T) {
 	resp, _ = get("/v1/history/diff?a=" + fp + "&b=ffffffffffffffffffffffffffffffff")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fp diff: %d", resp.StatusCode)
+	}
+}
+
+// TestStoreDirKeepsHistory pins that opening a store directory — through
+// the CLI's openStore and through a durable coordinator — leaves the
+// files neither owns alone: the history.jsonl sidecar still lists the
+// sweep recorded before, and a foreign x.jsonl (here with the same
+// bytes) is neither moved nor renamed.
+func TestStoreDirKeepsHistory(t *testing.T) {
+	dir := t.TempDir()
+	hist, _, err := history.Open(dir, history.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{Experiment: "fig8", Packets: 2, PSDUBytes: 60, Seed: 3, Axis: []float64{-10}}
+	fp, err := hist.Record(spec, 0, 0, time.Unix(1_700_000_000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "history.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "x.jsonl"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := openStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := dist.New(dist.Config{StoreDir: dir, StoreNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	for _, name := range []string{"history.jsonl", "x.jsonl"} {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: got %q, %v; want it left untouched", name, got, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, name+".migrated")); !os.IsNotExist(err) {
+			t.Errorf("%s was renamed to %s.migrated", name, name)
+		}
+	}
+	reopened, _, err := history.Open(dir, history.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw := reopened.Sweeps(history.Filter{}); len(sw) != 1 || sw[0].Fingerprint != fp {
+		t.Fatalf("history after reopening lists %+v, want the one recorded sweep %s", sw, fp)
 	}
 }

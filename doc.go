@@ -41,20 +41,9 @@
 // long PSDUs (bit-identical by survivor-merge finalisation, pooled
 // buffers below the window).
 //
-// Within one packet, rx.DecodeDataParallel fans the per-symbol decisions
-// across a bounded worker pool — each worker on its own Frame.ScratchFork
-// observation scratch and rx.ParallelDecider fork — merging coded bits in
-// symbol order; rx.DecodeDataSoftParallel does the same for the
-// soft-decision path, merging each symbol's deinterleaved Viterbi bit
-// weights into its slot of the packet-wide LLR stream. The determinism
-// contract: parallel decode is bit-identical to serial decode at any
-// worker count; deciders whose state makes decisions order-dependent
-// (CPRecycle's §4.3 continuous model update) refuse to fork and run
-// serially. experiments.RunPacket engages both with the cores
-// packet-level sharding leaves idle. A same-seed regression test
-// (internal/experiments) pins every receiver arm's packet decisions to
-// the pre-optimisation implementation, with parallel decode both off
-// and forced on.
+// The packet is the unit of parallelism: a packet's symbols are decoded
+// serially, in order, because CPRecycle's §4.3 continuous model update
+// feeds each decoded symbol's residuals into the next symbol's decision.
 //
 // The PSR sweep experiments run as a batch service: internal/sweep is a
 // sharded engine that decomposes each figure into independent measurement

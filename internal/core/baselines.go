@@ -21,10 +21,6 @@ type NaiveDecider struct {
 	Segments []int
 }
 
-// ForkDecider implements rx.ParallelDecider: the naive decoder holds no
-// cross-symbol state, so it forks to itself.
-func (n NaiveDecider) ForkDecider() (rx.SymbolDecider, bool) { return n, true }
-
 // DecideSymbol implements rx.SymbolDecider.
 func (n NaiveDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
 	if len(n.Segments) == 0 {
@@ -68,13 +64,6 @@ type OracleDecider struct {
 	ip    []dsp.Planar // reused interference window buffers
 	sel   []int        // data-subcarrier bins, for sparse slides
 	out   []int
-}
-
-// ForkDecider implements rx.ParallelDecider: per-symbol oracle choices
-// depend only on the interference stream, so a fork is a fresh decider
-// over the same inputs (demodulation scratch is rebuilt lazily).
-func (o *OracleDecider) ForkDecider() (rx.SymbolDecider, bool) {
-	return &OracleDecider{InterferenceOnly: o.InterferenceOnly, Segments: o.Segments}, true
 }
 
 // DecideSymbol implements rx.SymbolDecider.

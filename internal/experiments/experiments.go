@@ -121,15 +121,9 @@ type LinkConfig struct {
 	// Receivers lists the arms to decode each packet with.
 	Receivers []ReceiverKind
 	// Workers bounds the packet-level parallelism (default: GOMAXPROCS).
+	// The packet is the unit of parallelism: each packet's symbols are
+	// decoded serially, in order.
 	Workers int
-	// IntraWorkers bounds the intra-packet parallelism: the number of
-	// goroutines rx.DecodeDataParallel fans one packet's OFDM symbols
-	// across (per decodable arm). 1 forces the serial decode; 0 picks
-	// GOMAXPROCS / packet-workers, i.e. the cores packet-level sharding
-	// leaves idle — so a fully occupied sweep stays serial per packet
-	// while a single-packet (or worker-starved) run uses the spare cores
-	// to cut latency. Decisions are bit-identical at any setting.
-	IntraWorkers int
 	// CoreTweak, when set, adjusts the CPRecycle configuration of the
 	// CPRecycle* arms (used by the ablation benches to sweep sphere
 	// radius, bandwidth selector, pooling mode, …).
@@ -187,9 +181,8 @@ func segmentPlanFor(g ofdm.Grid, num int, ch *channel.Multipath, strideDiv int) 
 // A PSRPlan is immutable and safe for concurrent RunPacket/RunRange calls
 // from multiple goroutines.
 type PSRPlan struct {
-	cfg   LinkConfig
-	segs  []int
-	intra int // resolved intra-packet decode workers (≥ 1)
+	cfg  LinkConfig
+	segs []int
 }
 
 // PlanPSR validates cfg, fills defaults and computes the segment plan.
@@ -213,24 +206,7 @@ func PlanPSR(cfg LinkConfig) (*PSRPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	intra := cfg.IntraWorkers
-	if intra <= 0 {
-		// Auto: hand each packet the cores that packet-level sharding
-		// leaves idle (when packets outnumber cores there are none and
-		// the per-packet decode stays serial).
-		pw := cfg.Workers
-		if pw <= 0 {
-			pw = runtime.GOMAXPROCS(0)
-		}
-		if pw > cfg.Packets {
-			pw = cfg.Packets
-		}
-		intra = runtime.GOMAXPROCS(0) / pw
-		if intra < 1 {
-			intra = 1
-		}
-	}
-	return &PSRPlan{cfg: cfg, segs: segs, intra: intra}, nil
+	return &PSRPlan{cfg: cfg, segs: segs}, nil
 }
 
 // Config returns the plan's normalised configuration.
@@ -428,21 +404,9 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 		}
 		var res rx.Result
 		var err error
-		switch {
-		case soft && p.intra > 1:
-			// The soft path fans over the same ParallelDecider pool with
-			// the same symbol-ordered merge contract; deciders whose
-			// state forbids forking fall back to serial inside, so
-			// results are bit-identical either way.
-			res, err = rx.DecodeDataSoftParallel(f, cfg.MCS, len(psdu), decider, p.intra)
-		case soft:
+		if soft {
 			res, err = rx.DecodeDataSoft(f, cfg.MCS, len(psdu), decider)
-		case p.intra > 1:
-			// Fan this packet's symbols across the idle cores; deciders
-			// whose state forbids forking fall back to serial inside,
-			// so results are bit-identical either way.
-			res, err = rx.DecodeDataParallel(f, cfg.MCS, len(psdu), decider, p.intra)
-		default:
+		} else {
 			res, err = rx.DecodeData(f, cfg.MCS, len(psdu), decider)
 		}
 		if err != nil {

@@ -24,7 +24,7 @@ import (
 // count, PSDU size, MCS, segment plan inputs, receiver arms, and the
 // scenario's interference layout). Fields that cannot change results —
 // worker counts, the waveform-pool pointer (whose identity travels
-// separately in lease and journal headers), scratch configuration — are
+// separately in leases and job manifests), scratch configuration — are
 // deliberately excluded, so identities are stable across hosts and
 // parallelism settings.
 func (p *SweepPlan) PointIdentity(i int) string {

@@ -83,7 +83,7 @@ func DecodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) (Res
 
 // decodeCodedData runs the post-decision half of the DATA pipeline on the
 // deinterleaved coded bit stream: depuncture, anchored Viterbi,
-// descramble, FCS. Shared by the serial and parallel decode paths.
+// descramble, FCS.
 func decodeCodedData(coded []byte, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
 	defer stageDecode.ObserveSince(time.Now())
 	nInfo := nSyms * mcs.Ndbps

@@ -19,8 +19,8 @@ import (
 // complex128 per value at the equalizer boundary — and return buffers
 // owned by the Frame that are reused by the next call on the same Frame;
 // copy anything that must outlive the next observation. A Frame is not
-// safe for concurrent use; parallel symbol decoders give each worker its
-// own view via ScratchFork.
+// safe for concurrent use: one goroutine decodes a packet's symbols in
+// order.
 type Frame struct {
 	grid    ofdm.Grid
 	samples []complex128
@@ -30,7 +30,7 @@ type Frame struct {
 	scs     []int        // data subcarriers
 	pilots  []int
 
-	// Immutable per-frame lookup tables (shared with ScratchFork views):
+	// Immutable per-frame lookup tables:
 	// the FFT bin and channel estimate of each data/pilot subcarrier, so
 	// the per-symbol loops skip the Bin() modulo and Ĥ gather.
 	selBins   []int // FFT bins of the 52 used subcarriers, for sparse slides
@@ -91,28 +91,6 @@ func NewFrame(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, err
 		return nil, err
 	}
 	return f, nil
-}
-
-// ScratchFork returns a view of the frame for one worker goroutine of a
-// parallel symbol decode: it shares every immutable input — the sample
-// stream, grid, channel estimate and bin tables — but owns its demodulator
-// and observation scratch, so observations on the fork never race with (or
-// clobber the buffers of) observations on the parent or on sibling forks.
-// The shared state is read-only after NewFrame, making concurrent
-// observations on different forks safe.
-func (f *Frame) ScratchFork() (*Frame, error) {
-	d, err := ofdm.NewDemodulator(f.grid)
-	if err != nil {
-		return nil, err
-	}
-	g := *f
-	g.demod = d
-	g.segP = nil
-	g.obs = nil
-	g.preSeg = nil
-	g.pconj = make([]complex128, len(f.pilots))
-	g.pref = make([]complex128, len(f.pilots))
-	return &g, nil
 }
 
 // estimateChannel averages the LTF observations over both training symbols

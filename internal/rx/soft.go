@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/cmplx"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/coding"
@@ -60,48 +59,6 @@ func (StandardDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Conste
 	return idxs, conf, nil
 }
 
-// softSymbolLLRs decides symbol k on f with the soft decider and writes
-// the symbol's deinterleaved per-bit weights into dst (a Ncbps-sized slot
-// of the packet-wide LLR stream). blk and bitBuf are caller-provided
-// scratch.
-func softSymbolLLRs(f *Frame, soft SoftSymbolDecider, k int, cons *modem.Constellation,
-	il *coding.Interleaver, bitBuf []byte, blk, dst []float64) error {
-	idxs, conf, err := soft.DecideSymbolSoft(f, k, cons)
-	if err != nil {
-		return err
-	}
-	if len(idxs) != f.DataSubcarrierCount() || len(conf) != len(idxs) {
-		return fmt.Errorf("rx: soft decider returned %d/%d entries", len(idxs), len(conf))
-	}
-	nb := len(bitBuf)
-	w := normalizeConfidences(conf)
-	for i, idx := range idxs {
-		cons.BitsOf(idx, bitBuf)
-		for b, bit := range bitBuf {
-			v := w[i]
-			if bit == 1 {
-				v = -v
-			}
-			blk[i*nb+b] = v
-		}
-	}
-	il.DeinterleaveLLRInto(dst, blk)
-	return nil
-}
-
-// decodeLLRData runs the soft Viterbi over a packet's assembled LLR
-// stream and finishes the PSDU.
-func decodeLLRData(llrs []float64, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
-	defer stageDecode.ObserveSince(time.Now())
-	nInfo := nSyms * mcs.Ndbps
-	vit := coding.NewViterbi()
-	bits, err := vit.DecodePuncturedAnchored(llrs, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
-	if err != nil {
-		return Result{}, err
-	}
-	return finishData(bits, psduLen)
-}
-
 // DecodeDataSoft mirrors DecodeData but uses the decider's per-subcarrier
 // confidences as bit weights for the Viterbi decoder. Deciders that do not
 // implement SoftSymbolDecider fall back to hard (unit-weight) decoding.
@@ -113,93 +70,43 @@ func DecodeDataSoft(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) 
 	nSyms := mcs.SymbolsForPSDU(psduLen)
 	cons := modem.New(mcs.Scheme)
 	il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
+	nb := cons.BitsPerSymbol()
 
 	obsStart := time.Now()
 	llrs := make([]float64, nSyms*mcs.Ncbps)
-	bitBuf := make([]byte, cons.BitsPerSymbol())
+	bitBuf := make([]byte, nb)
 	blk := make([]float64, mcs.Ncbps)
 	for k := 0; k < nSyms; k++ {
-		if err := softSymbolLLRs(f, soft, k, cons, il, bitBuf, blk, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
+		idxs, conf, err := soft.DecideSymbolSoft(f, k, cons)
+		if err != nil {
 			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
 		}
-	}
-	stageObserve.ObserveSince(obsStart)
-	return decodeLLRData(llrs, mcs, psduLen, nSyms)
-}
-
-// DecodeDataSoftParallel is DecodeDataSoft with the per-symbol soft
-// decisions fanned across up to workers goroutines, mirroring
-// DecodeDataParallel: each worker decides a stride of the symbol indices
-// on its own Frame.ScratchFork view and ForkDecider clone, and every
-// symbol's deinterleaved weights land in its own slot of the packet-wide
-// LLR stream, so the weights entering the Viterbi decoder — and therefore
-// the Result — are bit-identical to the serial path. It falls back to the
-// serial DecodeDataSoft when workers <= 1, the decider cannot fork (or a
-// fork loses the soft interface), and to the hard-decision
-// DecodeDataParallel when the decider has no soft interface at all.
-func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, workers int) (Result, error) {
-	soft, ok := decider.(SoftSymbolDecider)
-	if !ok {
-		return DecodeDataParallel(f, mcs, psduLen, decider, workers)
-	}
-	nSyms := mcs.SymbolsForPSDU(psduLen)
-	if workers > nSyms {
-		workers = nSyms
-	}
-	pd, okP := decider.(ParallelDecider)
-	if workers <= 1 || !okP {
-		return DecodeDataSoft(f, mcs, psduLen, decider)
-	}
-	// Fork frames and deciders up front; any refusal falls back to serial
-	// before any goroutine starts.
-	frames := make([]*Frame, workers)
-	softs := make([]SoftSymbolDecider, workers)
-	frames[0], softs[0] = f, soft
-	for w := 1; w < workers; w++ {
-		fork, okF := pd.ForkDecider()
-		if !okF {
-			return DecodeDataSoft(f, mcs, psduLen, decider)
+		if len(idxs) != f.DataSubcarrierCount() || len(conf) != len(idxs) {
+			return Result{}, fmt.Errorf("rx: symbol %d: soft decider returned %d/%d entries", k, len(idxs), len(conf))
 		}
-		sfork, okS := fork.(SoftSymbolDecider)
-		if !okS {
-			return DecodeDataSoft(f, mcs, psduLen, decider)
-		}
-		fw, err := f.ScratchFork()
-		if err != nil {
-			return Result{}, err
-		}
-		frames[w], softs[w] = fw, sfork
-	}
-
-	obsStart := time.Now()
-	llrs := make([]float64, nSyms*mcs.Ncbps)
-	errs := make([]error, nSyms)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			frame, dec := frames[w], softs[w]
-			cons := modem.New(mcs.Scheme)
-			il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
-			bitBuf := make([]byte, cons.BitsPerSymbol())
-			blk := make([]float64, mcs.Ncbps)
-			for k := w; k < nSyms; k += workers {
-				if err := softSymbolLLRs(frame, dec, k, cons, il, bitBuf, blk, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
-					errs[k] = err
-					return
+		w := normalizeConfidences(conf)
+		for i, idx := range idxs {
+			cons.BitsOf(idx, bitBuf)
+			for b, bit := range bitBuf {
+				v := w[i]
+				if bit == 1 {
+					v = -v
 				}
+				blk[i*nb+b] = v
 			}
-		}(w)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
 		}
+		il.DeinterleaveLLRInto(llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps], blk)
 	}
 	stageObserve.ObserveSince(obsStart)
-	return decodeLLRData(llrs, mcs, psduLen, nSyms)
+
+	defer stageDecode.ObserveSince(time.Now())
+	nInfo := nSyms * mcs.Ndbps
+	vit := coding.NewViterbi()
+	bits, err := vit.DecodePuncturedAnchored(llrs, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
+	if err != nil {
+		return Result{}, err
+	}
+	return finishData(bits, psduLen)
 }
 
 // normalizeConfidences maps raw confidences to weights with median 1,

@@ -15,10 +15,9 @@
 // ObservePreambleAll) demodulate all P windows of a symbol in one batch on
 // the planar sliding-DFT path, sparsely at the 52 used subcarrier bins,
 // and hand out Frame-owned scratch buffers — the per-symbol hot path
-// performs no allocation. DecodeDataParallel fans the per-symbol
-// decisions of one packet across workers (per-worker Frame.ScratchFork
-// scratch, ParallelDecider forks, symbol-ordered merge) with output
-// bit-identical to the serial DecodeData.
+// performs no allocation. DecodeData and DecodeDataSoft decide a
+// packet's symbols serially, in symbol order: CPRecycle's §4.3 model
+// update carries each decoded symbol's residuals into the next decision.
 package rx
 
 import (

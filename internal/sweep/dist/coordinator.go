@@ -58,9 +58,8 @@ type Config struct {
 	// New replays the manifests against the store index, resuming
 	// interrupted jobs at their first missing point — and because points
 	// are keyed by content, repeated sweeps and cross-job duplicate
-	// points are served from the store instead of the fleet. Legacy
-	// *.jsonl journals found in the directory are migrated into the store
-	// once and renamed *.jsonl.migrated.
+	// points are served from the store instead of the fleet. Other files
+	// in the directory, such as the history.jsonl sidecar, are left alone.
 	StoreDir string
 	// StoreNoSync skips the store's fsyncs (tests/benches only).
 	StoreNoSync bool
@@ -133,7 +132,7 @@ type workerState struct {
 // Coordinator owns distributed sweep jobs: it decomposes submitted specs
 // into per-point work, hands adaptively-sized point-range leases to
 // registered workers over long-polling HTTP (Handler), merges their
-// tallies bit-identically to a single in-process engine, journals
+// tallies bit-identically to a single in-process engine, stores
 // completed points for crash recovery, and publishes per-point and
 // fleet-wide events to subscribers. It runs no sweep computation itself
 // and spawns no goroutines of its own: all state advances inside worker
@@ -146,7 +145,7 @@ type Coordinator struct {
 
 	// Fleet counters, atomically maintained at the event sites and
 	// exported by Stats/WritePrometheus. Monotonic over this
-	// coordinator's life (journal replay does not reconstruct them).
+	// coordinator's life (manifest replay does not reconstruct them).
 	leasesGranted atomic.Int64
 	leaseExpiries atomic.Int64
 	requeuedPts   atomic.Int64
@@ -160,8 +159,8 @@ type Coordinator struct {
 
 	// store is the content-addressed result store (nil when the
 	// coordinator is not durable). Shared across jobs: a point computed
-	// by any job — or any previous coordinator life, or a migrated
-	// legacy journal — serves every later job that plans the same point.
+	// by any job — or any previous coordinator life — serves every later
+	// job that plans the same point.
 	store *store.Store
 
 	mu        sync.Mutex
@@ -193,13 +192,12 @@ type Coordinator struct {
 
 // New creates a coordinator. With cfg.StoreDir set the directory is
 // created if missing, the content-addressed result store is opened
-// (salvaging every intact record a crash left behind), legacy *.jsonl
-// journals are migrated into it, and the job manifests are replayed:
-// every <id>.json becomes a job (same ID as its previous life) with its
-// stored points restored from the index — fully-stored jobs come back as
-// done, partial ones resume leasing at their first missing point. The
-// worker registry starts empty in every life — workers of a previous
-// life re-register on their first 401.
+// (salvaging every intact record a crash left behind), and the job
+// manifests are replayed: every <id>.json becomes a job (same ID as its
+// previous life) with its stored points restored from the index —
+// fully-stored jobs come back as done, partial ones resume leasing at
+// their first missing point. The worker registry starts empty in every
+// life — workers of a previous life re-register on their first 401.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -221,16 +219,6 @@ func New(cfg Config) (*Coordinator, error) {
 		if stats.DamagedSegments > 0 {
 			c.log.Warn("store recovered with damage", "segments", stats.Segments,
 				"records", stats.Records, "damaged", stats.DamagedSegments)
-		}
-		mig, err := sweep.MigrateDir(cfg.StoreDir, st)
-		if err != nil {
-			return nil, err
-		}
-		if mig.Journals > 0 {
-			c.log.Info("migrated legacy journals", "journals", mig.Journals, "points", mig.Points)
-		}
-		for _, skip := range mig.Skipped {
-			c.log.Warn("skipping unmigratable journal", "detail", skip)
 		}
 		if err := c.replayManifests(); err != nil {
 			return nil, err
@@ -292,11 +280,23 @@ func (c *Coordinator) manifestPath(id string) string {
 	return filepath.Join(c.cfg.StoreDir, id+".json")
 }
 
+// manifest is a job's durable <id>.json file: the normalised spec, its
+// point count and, for pooled sweeps, the waveform pool's identity — a
+// point computed from one pool must never be merged with points from
+// another (different size or seed means different interferer waveforms
+// AND a different per-tile draw range). The JSON field names and v:1 are
+// the on-disk format; manifests written by earlier versions replay as is.
+type manifest struct {
+	V        int        `json:"v"`
+	Spec     sweep.Spec `json:"spec"`
+	Points   int        `json:"points"`
+	PoolSize int        `json:"pool_size,omitempty"`
+	PoolSeed int64      `json:"pool_seed,omitempty"`
+}
+
 // replayManifests rebuilds jobs from the manifest files: each names a
 // spec whose completed points are then looked up in the store index —
-// resume is an index read, not a log replay. Leftover legacy journal
-// names (*.jsonl, *.jsonl.migrated) burn their job ids so a future
-// Submit cannot collide with them.
+// resume is an index read, not a log replay.
 func (c *Coordinator) replayManifests() error {
 	entries, err := os.ReadDir(c.cfg.StoreDir)
 	if err != nil {
@@ -305,13 +305,6 @@ func (c *Coordinator) replayManifests() error {
 	var ids []string
 	for _, e := range entries {
 		if e.IsDir() {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".migrated")
-		if id, ok := strings.CutSuffix(name, ".jsonl"); ok {
-			if s := jobSeq(id); s > c.nextID {
-				c.nextID = s
-			}
 			continue
 		}
 		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok {
@@ -327,7 +320,7 @@ func (c *Coordinator) replayManifests() error {
 		if err != nil {
 			return err
 		}
-		var hdr sweep.JournalHeader
+		var hdr manifest
 		if err := json.Unmarshal(data, &hdr); err != nil || hdr.V != 1 {
 			// Unparsable manifests must not crash-loop the coordinator: a
 			// foreign file can land in the directory. It holds no state we
@@ -430,7 +423,7 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 	c.mu.Unlock()
 
 	if path := c.manifestPath(j.ID); path != "" {
-		hdr := sweep.JournalHeader{V: 1, Spec: j.Spec, Points: len(j.points)}
+		hdr := manifest{V: 1, Spec: j.Spec, Points: len(j.points)}
 		if j.Spec.Pool {
 			hdr.PoolSize = c.cfg.PoolSize
 			hdr.PoolSeed = c.cfg.PoolSeed
@@ -1188,7 +1181,7 @@ func (j *Job) markDoneLocked(idx int, p sweep.PointTally, persist bool) bool {
 
 // absorbStoreLocked restores every not-yet-done point whose
 // content-address key the store already holds — points computed by
-// other jobs, previous coordinator lives, or migrated journals. Returns
+// other jobs or previous coordinator lives. Returns
 // how many points it restored; when any were, the pending queue is
 // rebuilt, leases made fully redundant are cancelled, and a now-complete
 // job is finalized. countMisses makes absent points count as store
@@ -1412,7 +1405,7 @@ func (j *Job) closeSubsLocked() {
 }
 
 // Subscribe mirrors sweep.Job.Subscribe: every completed point so far
-// (journal-restored ones first) plus a live channel, closed when the job
+// (store-restored ones first) plus a live channel, closed when the job
 // finishes or cancel is called.
 func (j *Job) Subscribe() (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func()) {
 	j.mu.Lock()
@@ -1582,7 +1575,7 @@ func (c *Coordinator) Handler() http.Handler {
 		res.Worker = ws.id
 		j := c.Job(res.Job)
 		if j == nil {
-			// Unknown job: removed, or from a journal-less previous life.
+			// Unknown job: removed, or from a non-durable previous life.
 			// Nothing to merge into; the worker's work is simply dropped.
 			writeJSON(w, http.StatusOK, map[string]string{"status": "dropped"})
 			return

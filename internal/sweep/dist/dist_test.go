@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -356,20 +357,21 @@ func TestStoreReplayAfterKill(t *testing.T) {
 	}
 }
 
-// TestManifestReplaySkipsUnparsable pins that a zero-byte manifest,
-// foreign garbage in the store directory, or legacy journal leftovers
-// cannot crash-loop the coordinator: each file is skipped with its job
-// id burned, so fresh submissions never collide with it.
+// TestManifestReplaySkipsUnparsable pins that a zero-byte manifest or
+// foreign garbage in the store directory cannot crash-loop the
+// coordinator: an unparsable <id>.json is skipped with its job id burned,
+// so fresh submissions never collide with it, and files that are not
+// manifests are left untouched.
 func TestManifestReplaySkipsUnparsable(t *testing.T) {
 	dir := t.TempDir()
+	foreign := map[string]string{"j3.jsonl": "not a journal\n", "j5.jsonl.migrated": ""}
 	if err := os.WriteFile(filepath.Join(dir, "j7.json"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "j3.jsonl"), []byte("not a journal\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "j5.jsonl.migrated"), nil, 0o644); err != nil {
-		t.Fatal(err)
+	for name, body := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c, err := New(Config{StoreDir: dir, Log: testLogger(t)})
 	if err != nil {
@@ -384,7 +386,72 @@ func TestManifestReplaySkipsUnparsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if j.ID != "j8" {
-		t.Fatalf("fresh job id %s, want j8 (numbering past the skipped files)", j.ID)
+		t.Fatalf("fresh job id %s, want j8 (numbering past the skipped manifest)", j.ID)
+	}
+	for name, body := range foreign {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != body {
+			t.Errorf("%s: got %q, %v; want it left untouched", name, got, err)
+		}
+	}
+}
+
+// TestManifestFormatCompatible pins the manifest's on-disk bytes, pooled
+// and pool-less: a coordinator writes exactly the bytes earlier versions
+// wrote, and a directory holding only such a manifest replays it to the
+// same job, which renders the same table as an in-process engine.
+func TestManifestFormatCompatible(t *testing.T) {
+	const poolSize, poolSeed = 4, 9
+	cases := []struct {
+		name     string
+		pool     bool
+		manifest string
+	}{
+		{"pool-less", false, `{"v":1,"spec":{"experiment":"fig8","packets":4,"psdu_bytes":60,"seed":3,"axis":[-10,-20]},"points":6}`},
+		{"pooled", true, `{"v":1,"spec":{"experiment":"fig8","packets":4,"psdu_bytes":60,"seed":3,"axis":[-10,-20],"pool":true},"points":6,"pool_size":4,"pool_seed":9}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Pool = tc.pool
+			cfg := Config{LeasePoints: 2, PoolSize: poolSize, PoolSeed: poolSeed, StoreNoSync: true}
+
+			cfg.StoreDir = t.TempDir()
+			writer, _ := testCoordinator(t, cfg)
+			if _, err := writer.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(filepath.Join(cfg.StoreDir, "j1.json")); err != nil || string(got) != tc.manifest {
+				t.Fatalf("manifest bytes changed:\ngot  %s (%v)\nwant %s", got, err, tc.manifest)
+			}
+
+			cfg.StoreDir = t.TempDir()
+			if err := os.WriteFile(filepath.Join(cfg.StoreDir, "j1.json"), []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, srv := testCoordinator(t, cfg)
+			j := c.Job("j1")
+			if j == nil {
+				t.Fatalf("manifest not replayed; have %d jobs", len(c.Jobs()))
+			}
+			if !reflect.DeepEqual(j.Spec, spec.Normalised()) || len(j.points) != 6 {
+				t.Fatalf("replayed job spec %+v with %d points, want %+v with 6", j.Spec, len(j.points), spec.Normalised())
+			}
+
+			eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2, PoolSize: poolSize, PoolSeed: poolSeed})
+			defer eng.Close()
+			ej, err := eng.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eres, err := ej.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			testWorker(t, srv.URL, "")
+			if got, want := waitTable(t, j), eres.Table.Render(); got != want {
+				t.Fatalf("replayed table differs from the engine's:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 }
 

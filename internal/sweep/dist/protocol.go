@@ -108,8 +108,9 @@
 // cross-job duplicate points are served from the store instead of the
 // fleet, late results from slow re-leased workers are accepted once and
 // the redundant re-run is cancelled in flight (cpr_store_* counters
-// track hits, misses, dedupes, late accepts and corrupt records). Legacy
-// *.jsonl journals in the directory are migrated into the store on open.
+// track hits, misses, dedupes, late accepts and corrupt records). Other
+// files in the directory, such as the history.jsonl sidecar, are left
+// alone.
 // The worker registry is deliberately not persisted: workers re-register
 // on the first 401 from the new coordinator life.
 //

@@ -133,7 +133,7 @@ var errRevoked = errors.New("dist: worker revoked by coordinator")
 // leases and executes them on a local sweep.Engine. Its waveform pool is
 // rebuilt whenever a lease names a different pool identity, so pooled
 // tallies are always drawn from the exact pool the coordinator
-// journalled. Every coordinator call retries transient transport
+// recorded. Every coordinator call retries transient transport
 // failures with capped, jittered exponential backoff; a 401 triggers
 // transparent re-registration (a restarted coordinator loses its
 // registry), and a 403 — revocation — terminates the worker.

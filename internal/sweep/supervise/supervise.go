@@ -439,12 +439,15 @@ func (s *Supervisor) decide(st dist.FleetStats, workers []dist.WorkerInfo, now t
 
 	// Reconcile owned processes against the registry: count the not yet
 	// registered as live (so a fresh spawn is not doubled), kill spawns
-	// that never registered within grace, reap revoked ones.
+	// that never registered within grace, reap revoked ones. A drained
+	// worker that has deregistered but not yet exited is neither: it is
+	// on its way out.
 	pending := 0
 	for name, ps := range s.procs {
 		wi, registered := regByName[name]
 		switch {
 		case ps.killed:
+		case !registered && ps.draining:
 		case !registered && now.Sub(ps.spawned) < s.cfg.RegisterGrace:
 			pending++
 		case !registered:

@@ -112,3 +112,12 @@ func (s Spec) Normalised() Spec {
 	}
 	return s
 }
+
+// PointTally is one completed point: its plan index, packet count and
+// per-arm success tallies. It is the wire form of a finished point in the
+// distributed tier (dist.LeaseResult).
+type PointTally struct {
+	Point int   `json:"point"`
+	N     int   `json:"n"`
+	OK    []int `json:"ok"`
+}
