@@ -17,7 +17,6 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
 	"repro/internal/sweep/history"
-	"repro/internal/sweep/store"
 )
 
 // decodeEnvelope asserts resp is the shared /v1 error envelope with the
@@ -42,12 +41,10 @@ func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode 
 }
 
 // TestServeErrorEnvelope pins the envelope shape on every jobs-API
-// failure path: auth, malformed spec, unknown job.
+// failure path: auth, malformed or out-of-range spec, oversized body,
+// unknown job.
 func TestServeErrorEnvelope(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 1, ShardPackets: 2})
-	defer eng.Close()
-	srv := httptest.NewServer(dist.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
-	defer srv.Close()
+	c, srv := testServer(t, "tok", dist.Config{})
 
 	do := func(method, path, token, body string) *http.Response {
 		t.Helper()
@@ -76,6 +73,26 @@ func TestServeErrorEnvelope(t *testing.T) {
 	}
 	decodeEnvelope(t, do(http.MethodPost, "/v1/jobs", "tok", `{"experiment":`), http.StatusBadRequest, "bad_request")
 	decodeEnvelope(t, do(http.MethodPost, "/v1/jobs", "tok", `{"experiment":"nope"}`), http.StatusBadRequest, "bad_request")
+	// Specs no packet could run are refused at submit, not accepted and
+	// failed on the worker.
+	for _, spec := range []string{
+		`{"experiment":"fig8","packets":-5}`,
+		`{"experiment":"fig8","packets":2,"psdu_bytes":4096}`,
+		`{"experiment":"fig8","packets":2,"psdu_bytes":1048576}`,
+	} {
+		decodeEnvelope(t, do(http.MethodPost, "/v1/jobs", "tok", spec), http.StatusBadRequest, "bad_request")
+	}
+	if n := len(c.Jobs()); n != 0 {
+		t.Fatalf("%d jobs registered from refused specs", n)
+	}
+	// A 2 MiB body is cut off at the 1 MiB cap. Served in-process: over a
+	// socket the server may reset the connection mid-upload.
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"experiment":"`+strings.Repeat("x", 2<<20)+`"}`))
+	req.Header.Set("Authorization", "Bearer tok")
+	serverHandler("tok", c, nil, false).ServeHTTP(rec, req)
+	decodeEnvelope(t, rec.Result(), http.StatusRequestEntityTooLarge, "payload_too_large")
 	decodeEnvelope(t, do(http.MethodGet, "/v1/jobs/j999", "tok", ""), http.StatusNotFound, "not_found")
 	decodeEnvelope(t, do(http.MethodGet, "/v1/jobs/j999/table", "tok", ""), http.StatusNotFound, "not_found")
 	decodeEnvelope(t, do(http.MethodDelete, "/v1/jobs/j999", "tok", ""), http.StatusNotFound, "not_found")
@@ -87,10 +104,7 @@ func TestServeErrorEnvelope(t *testing.T) {
 // first, limit/cursor pages, and a cursor past the end answering an
 // empty page rather than an error.
 func TestServeJobsPagination(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
-	defer eng.Close()
-	srv := httptest.NewServer(apiMux(engineBackend{eng: eng}, nil))
-	defer srv.Close()
+	_, srv := testServer(t, "", dist.Config{})
 
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -152,12 +166,11 @@ func TestServeJobsPagination(t *testing.T) {
 // TestServeDeleteSemantics pins cancel-vs-purge: DELETE cancels a
 // running job outright, refuses a finished one with 409 unless ?purge=1
 // makes the removal explicit, and 404s an unknown id (covered in
-// TestServeErrorEnvelope).
+// TestServeErrorEnvelope). The cancelled job's lease reaches the worker
+// at its next heartbeat, so the finished job still runs to completion
+// behind it.
 func TestServeDeleteSemantics(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 1, ShardPackets: 50})
-	defer eng.Close()
-	srv := httptest.NewServer(apiMux(engineBackend{eng: eng}, nil))
-	defer srv.Close()
+	c, srv := testServer(t, "", dist.Config{})
 
 	submit := func(body string) sweep.Progress {
 		t.Helper()
@@ -196,21 +209,21 @@ func TestServeDeleteSemantics(t *testing.T) {
 		t.Fatalf("cancel running: HTTP %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if eng.Job(running.ID) != nil {
+	if c.Job(running.ID) != nil {
 		t.Fatal("cancelled job still listed")
 	}
 
 	// A finished job is a recorded result: DELETE without ?purge=1 is a
 	// conflict that explains the distinction, with it the removal sticks.
 	finished := submit(`{"experiment":"fig8","packets":2,"psdu_bytes":60,"seed":3,"axis":[-10]}`)
-	if _, err := eng.Job(finished.ID).Wait(context.Background()); err != nil {
+	if _, err := c.Job(finished.ID).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	msg := decodeEnvelope(t, del("/v1/jobs/"+finished.ID), http.StatusConflict, "conflict")
 	if !strings.Contains(msg, "purge") {
 		t.Fatalf("conflict message %q does not mention ?purge", msg)
 	}
-	if eng.Job(finished.ID) == nil {
+	if c.Job(finished.ID) == nil {
 		t.Fatal("409 DELETE removed the job anyway")
 	}
 	resp = del("/v1/jobs/" + finished.ID + "?purge=1")
@@ -218,7 +231,7 @@ func TestServeDeleteSemantics(t *testing.T) {
 		t.Fatalf("purge finished: HTTP %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if eng.Job(finished.ID) != nil {
+	if c.Job(finished.ID) != nil {
 		t.Fatal("purged job still listed")
 	}
 }
@@ -230,17 +243,12 @@ func TestServeDeleteSemantics(t *testing.T) {
 // without re-running — while the self-diff reports zero deltas.
 func TestServeHistorySurface(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := store.Open(dir, store.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hist, _, err := history.Open(dir, history.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2, Store: st})
-	defer eng.Close()
-	srv := httptest.NewServer(apiMux(engineBackend{eng: eng, hist: hist}, historyHandler(hist, st)))
+	c := testService(t, dist.Config{StoreDir: dir, StoreNoSync: true})
+	srv := httptest.NewServer(serverHandler("", c, hist, false))
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, []byte) {
@@ -279,7 +287,7 @@ func TestServeHistorySurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if _, err := eng.Job(prog.ID).Wait(context.Background()); err != nil {
+	if _, err := c.Job(prog.ID).Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,7 +22,7 @@
 //	cprecycle-bench -experiment fig8 -packets 2000 -bytes 400
 //	cprecycle-bench -experiment all -packets 200
 //	cprecycle-bench -experiment fig8 -store results/         # resumable
-//	cprecycle-bench -serve :8080                             # HTTP service
+//	cprecycle-bench -serve :8080                             # HTTP service, one local worker
 //	cprecycle-bench -coordinator :8080 -store jobs/          # distributed
 //	cprecycle-bench -worker -join http://host:8080           # …its workers
 //	cprecycle-bench -submit -join http://host:8080 -experiment fig8
@@ -76,18 +76,38 @@
 //	$ curl ':8080/v1/history/diff?a=FP1&b=FP2'    # per-point tally deltas
 //
 // The store directory holds the store's segments, the history sidecar
-// and, under -coordinator, one <job>.json manifest per job. Other files
+// and, under -serve and -coordinator, one <job>.json manifest per job. Other files
 // there are left untouched, apart from stray *.tmp files of aborted
 // writes, which the store removes on open.
 //
-// Serve mode (-serve ADDR) exposes an in-process engine over HTTP;
-// coordinator mode (-coordinator ADDR) serves the identical client API
-// but executes nothing itself, handing point-range leases to -worker
-// processes instead. The complete /v1 surface (jobs + history + worker
-// tier + observability — the history and dist endpoints appear only on
-// servers run with -store / -coordinator respectively):
+// Serve mode (-serve ADDR) and coordinator mode (-coordinator ADDR) run
+// one service: a distributed coordinator (internal/sweep/dist) behind the
+// client API. The coordinator executes nothing itself; it hands
+// point-range leases to workers. -coordinator serves its /v1/dist/ worker
+// tier on ADDR for -worker processes to join. -serve instead starts one
+// in-process worker (sized by -workers and -shard) against a
+// loopback-only worker tier, and /v1/dist/ on ADDR answers 404. So under
+// -serve:
 //
-//	POST   /v1/jobs        submit a sweep.Spec (JSON body) → 202 {"id":"j1",…}
+//   - concurrent jobs are leased in submission order, one after another,
+//     not interleaved shard by shard; the total work is the same;
+//   - DELETE of a running job reaches the worker at its next heartbeat
+//     (5s by default), not at the next packet;
+//   - with -store, every job is also a <id>.json manifest and resumes
+//     after a restart; a restart with a different -seed over pooled
+//     manifests is refused, as under -coordinator;
+//   - one job pays its lease round trips over loopback: a 30-point fig8
+//     job of 40 B at 8 packets a point took a median 141 ms against
+//     130 ms in-process (2-core machine, 16 runs each).
+//
+// The complete /v1 surface (jobs + history + worker tier + observability
+// — the history and dist endpoints appear only on servers run with
+// -store / -coordinator respectively):
+//
+//	POST   /v1/jobs        submit a sweep.Spec (JSON body) → 202 {"id":"j1",…};
+//	                       a spec no packet could run (packets < 1,
+//	                       psdu_bytes outside [5,4095]) is a 400, a body
+//	                       over 1 MiB a 413
 //	GET    /v1/jobs        jobs' progress, newest-submitted first;
 //	                       ?limit= & ?cursor= paginate ({"items":[…],
 //	                       "next_cursor":"…"}; an exhausted listing has
@@ -136,9 +156,11 @@
 //	POST   /v1/dist/workers/{id}/drain | /revoke        fleet admin
 //	GET    /v1/dist/events               fleet lifecycle SSE stream
 //
-//	GET    /v1/status      one-shot JSON dashboard: mode, uptime, runtime
-//	                       stats, job summary, fleet stats (coordinator)
-//	                       and a flat dump of every registered metric
+//	GET    /v1/status      one-shot JSON dashboard: mode ("coordinator"
+//	                       under -serve and -coordinator, "worker" and
+//	                       "supervisor" on their -obs servers), uptime,
+//	                       runtime stats, job summary, fleet stats and a
+//	                       flat dump of every registered metric
 //	GET    /metrics        Prometheus text exposition (0.0.4)
 //	GET    /debug/pprof/   live profiling (heap, profile, trace, …)
 //
@@ -159,12 +181,12 @@
 // request (bounded, ~30s) and wakes it the moment work appears — no
 // fixed-interval polling anywhere. Leases are sized adaptively from the
 // job's observed per-point latency toward a wall-clock target (~4× the
-// heartbeat interval); -lease-points pins a fixed size instead. Workers
-// run leases on a local sweep engine (with their own waveform pool built
-// from the lease's pool identity), heartbeat on /v1/dist/heartbeat, and
-// report per-point tallies on /v1/dist/result, retrying transient
-// transport failures with capped jittered backoff. A lease that misses
-// its TTL — worker crash, kill -9, partition — is re-issued; results are
+// heartbeat interval). Workers run leases on a local sweep engine (with
+// their own waveform pool built from the lease's pool identity),
+// heartbeat on /v1/dist/heartbeat, and report per-point tallies on
+// /v1/dist/result, retrying transient transport failures with capped
+// jittered backoff. A lease that misses its TTL — worker crash, kill -9,
+// partition — is re-issued; results are
 // idempotent and tallies deterministic, so duplicated work merges
 // bit-identically. Leases carry the sweep plan's fingerprint and workers
 // refuse leases their own build plans differently, so coordinator/worker
@@ -178,9 +200,10 @@
 // -token S sets the fleet join secret: the coordinator requires it on
 // registration and admin calls (and -serve requires it on everything),
 // -worker presents it to register, and -submit/-fleet/-drain/-revoke
-// send it. -store DIR makes coordinator jobs durable — completed points
-// land in the shared content-addressed store and a small JSON manifest
-// per job records its spec, so a restarted (even kill -9'd) coordinator
+// send it. -store DIR makes -serve and -coordinator jobs durable —
+// completed points land in the shared content-addressed store and a
+// small JSON manifest per job records its spec, so a restarted (even
+// kill -9'd) coordinator
 // rebuilds every job from the store index and re-leases only the
 // missing points (workers notice the restart via 401 and re-register on
 // their own). Because the store is content-addressed, resubmitting an
@@ -374,7 +397,7 @@ func main() {
 		shardPk  = flag.Int("shard", 0, "packets per engine shard; 0 = default")
 		storeDir = flag.String("store", "", "content-addressed result store directory: sweep experiments checkpoint per-point tallies here and resume from them")
 		storeMax = flag.Int64("store-max-bytes", 0, "result store size budget in bytes: when Puts push the store past it, least-recently-hit segments are evicted (records pinned by live jobs are never evicted); 0 = unlimited")
-		serve    = flag.String("serve", "", "serve the sweep engine over HTTP on this address instead of running experiments")
+		serve    = flag.String("serve", "", "serve the sweep service over HTTP on this address instead of running experiments: a coordinator with one in-process worker (-workers, -shard) on a loopback-only worker tier. Concurrent jobs run in submission order; DELETE of a running job reaches its lease at the next worker heartbeat (5s); with -store, jobs are durable <id>.json manifests resumed after a restart, which a different -seed over pooled manifests refuses")
 
 		coordAddr = flag.String("coordinator", "", "serve a distributed sweep coordinator on this address (no local compute; workers join with -worker -join)")
 		workerFlg = flag.Bool("worker", false, "run as a distributed sweep worker polling the -join coordinator")
@@ -384,10 +407,8 @@ func main() {
 		memBudget = flag.Int64("mem-budget", 0, "worker heap budget in MiB: the worker samples runtime/metrics heap use and gracefully self-drains when it exceeds the budget; 0 = unlimited")
 		cpuBudget = flag.Float64("cpu-budget", 0, "worker CPU budget in cores: the worker samples its own process CPU time (/proc/self/stat, falling back to runtime metrics) and gracefully self-drains when the rate stays over budget; 0 = unlimited")
 		wkrName   = flag.String("worker-name", "", "worker: self-reported fleet name (default host:pid); the supervisor names its spawns with this")
-		longPoll  = flag.Duration("long-poll", 0, "coordinator: park lease requests up to this long waiting for work; 0 = default (30s)")
-		leasePts  = flag.Int("lease-points", 0, "pin every worker lease to this many plan points; 0 = adaptive sizing toward -lease-target of wall-clock work")
-		leaseTgt  = flag.Duration("lease-target", 0, "wall-clock work an adaptive lease aims for; 0 = default (4× heartbeat interval)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "re-issue a lease after this long without a heartbeat; 0 = default (30s)")
+		longPoll  = flag.Duration("long-poll", 0, "-serve/-coordinator: park lease requests up to this long waiting for work; 0 = default (30s)")
+		leaseTTL  = flag.Duration("lease-ttl", 0, "-serve/-coordinator: re-issue a lease after this long without a heartbeat; 0 = default (30s)")
 
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
@@ -433,10 +454,16 @@ func main() {
 
 	engCfg := sweep.Config{Workers: *workers, ShardPackets: *shardPk, PoolSize: *poolSize, PoolSeed: *seed}
 
+	// -serve and -coordinator are one service: a coordinator behind the
+	// client API. -coordinator hands its leases to -worker processes over
+	// the /v1/dist/ tier on its own address; -serve computes them on one
+	// in-process worker joined over loopback.
+	addr, distTier := *serve, false
 	if *coordAddr != "" {
-		c, err := dist.New(dist.Config{
-			LeasePoints:   *leasePts,
-			LeaseTarget:   *leaseTgt,
+		addr, distTier = *coordAddr, true
+	}
+	if addr != "" {
+		if err := runServer(distTier, addr, dist.Config{
 			LeaseTTL:      *leaseTTL,
 			LongPoll:      *longPoll,
 			PoolSize:      *poolSize,
@@ -445,18 +472,7 @@ func main() {
 			StoreMaxBytes: *storeMax,
 			Token:         *token,
 			Log:           lg,
-		})
-		if err == nil {
-			defer c.Close()
-			var hist *history.Index
-			if *storeDir != "" {
-				hist, err = openHistory(*storeDir)
-			}
-			if err == nil {
-				err = runCoordinator(*coordAddr, *token, c, hist)
-			}
-		}
-		if err != nil {
+		}, sweep.Config{Workers: *workers, ShardPackets: *shardPk}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -638,16 +654,6 @@ func main() {
 			os.Exit(1)
 		}
 		engCfg.Store = st
-	}
-
-	if *serve != "" {
-		eng := sweep.New(engCfg)
-		defer eng.Close()
-		if err := runServe(*serve, *token, eng, hist, st); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	opts := experiments.Options{Packets: *packets, PSDUBytes: *bytes, Seed: *seed}

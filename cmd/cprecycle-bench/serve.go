@@ -1,10 +1,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,107 +14,13 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
 	"repro/internal/sweep/history"
-	"repro/internal/sweep/store"
 )
 
-// The client-facing HTTP API is identical in both serve modes — a local
-// engine (-serve) and a distributed coordinator (-coordinator) — so it is
-// built once over this pair of interfaces, which sweep.Job and dist.Job
-// both satisfy.
-
-// serveJob is one job as the HTTP layer sees it.
-type serveJob interface {
-	Progress() sweep.Progress
-	Subscribe() (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func())
-	Done() <-chan struct{}
-	Wait(ctx context.Context) (*sweep.Result, error)
-}
-
-// serveBackend is the job store behind the API.
-type serveBackend interface {
-	SubmitSpec(spec sweep.Spec) (serveJob, error)
-	LookupJob(id string) (serveJob, bool)
-	ListJobs() []serveJob
-	RemoveJob(id string) bool
-	Status() statusSnapshot
-}
-
-// engineBackend adapts the in-process sweep engine. hist, when the
-// server has a store, records every accepted submission in the results
-// history index.
-type engineBackend struct {
-	eng  *sweep.Engine
-	hist *history.Index
-}
-
-func (b engineBackend) SubmitSpec(spec sweep.Spec) (serveJob, error) {
-	// Jobs outlive the submitting request: they are cancelled via DELETE,
-	// not by the connection closing.
-	j, err := asJob(b.eng.Submit(context.Background(), spec))
-	if err == nil {
-		size, seed := b.eng.PoolIdentity()
-		recordHistory(b.hist, spec, size, seed)
-	}
-	return j, err
-}
-func (b engineBackend) LookupJob(id string) (serveJob, bool) {
-	j := b.eng.Job(id)
-	return j, j != nil
-}
-func (b engineBackend) ListJobs() []serveJob {
-	jobs := b.eng.Jobs()
-	out := make([]serveJob, len(jobs))
-	for i, j := range jobs {
-		out[i] = j
-	}
-	return out
-}
-func (b engineBackend) RemoveJob(id string) bool { return b.eng.Remove(id) }
-func (b engineBackend) Status() statusSnapshot   { return newStatus("engine", b.ListJobs()) }
-
-// coordBackend adapts the distributed coordinator.
-type coordBackend struct {
-	c    *dist.Coordinator
-	hist *history.Index
-}
-
-func (b coordBackend) SubmitSpec(spec sweep.Spec) (serveJob, error) {
-	j, err := asJob(b.c.Submit(spec))
-	if err == nil {
-		size, seed := b.c.PoolIdentity()
-		recordHistory(b.hist, spec, size, seed)
-	}
-	return j, err
-}
-func (b coordBackend) LookupJob(id string) (serveJob, bool) {
-	j := b.c.Job(id)
-	return j, j != nil
-}
-func (b coordBackend) ListJobs() []serveJob {
-	jobs := b.c.Jobs()
-	out := make([]serveJob, len(jobs))
-	for i, j := range jobs {
-		out[i] = j
-	}
-	return out
-}
-func (b coordBackend) RemoveJob(id string) bool { return b.c.Remove(id) }
-func (b coordBackend) Status() statusSnapshot {
-	s := newStatus("coordinator", b.ListJobs())
-	fs := b.c.Stats()
-	s.Fleet = &fs
-	s.Workers = b.c.WorkerInfos()
-	return s
-}
-
-// asJob converts a concrete (job, err) pair to the interface without the
-// classic non-nil-interface-around-nil-pointer trap.
-func asJob[J serveJob](j J, err error) (serveJob, error) {
-	if err != nil {
-		return nil, err
-	}
-	return j, nil
-}
+// The client-facing HTTP API — jobs, history and observability — is
+// served over a dist.Coordinator in both serving modes. -coordinator
+// mounts the coordinator's /v1/dist/ worker tier on the same address;
+// -serve keeps it on a loopback listener for its one in-process worker
+// (startLocalWorker).
 
 // recordHistory notes an accepted submission in the results-history
 // index, when the server has one. Recording failures are logged, never
@@ -144,17 +50,18 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	api.Error(w, status, err)
 }
 
-// apiMux builds the client API over a backend. hist, when non-nil,
-// mounts the read-only GET /v1/history/* query surface (history.Handler)
-// alongside the jobs API. Extra metric collectors (e.g. a coordinator's
-// fleet gauges) are appended to /metrics.
-func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.ServeMux {
+// apiMux builds the client API over coordinator c. hist, when non-nil
+// (a server run with -store), records every accepted submission and
+// mounts the read-only GET /v1/history/* query surface alongside the
+// jobs API. /metrics carries the coordinator's fleet families next to
+// the registry's.
+func apiMux(c *dist.Coordinator, hist *history.Index) *http.ServeMux {
 	mux := http.NewServeMux()
 
-	obsRoutes(mux, b.Status, extras...)
+	obsRoutes(mux, func() statusSnapshot { return newStatus("coordinator", c) }, c.WritePrometheus)
 
-	if hist != nil {
-		mux.Handle("/v1/history/", hist)
+	if hist != nil && c.Store() != nil {
+		mux.Handle("/v1/history/", history.Handler(hist, c.Store()))
 	}
 
 	mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
@@ -163,21 +70,20 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec sweep.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		if !api.ReadJSON(w, r, &spec) {
 			return
 		}
 		// Durability is server-side only: the store directory is named by
 		// the -store flag, never by the spec, so remote clients hold no
 		// path-write primitive. (The old "checkpoint" spec field is gone;
-		// DisallowUnknownFields above now 400s any spec still sending it.)
-		job, err := b.SubmitSpec(spec)
+		// ReadJSON refuses unknown fields, so a spec still sending it 400s.)
+		job, err := c.Submit(spec)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		size, seed := c.PoolIdentity()
+		recordHistory(hist, spec, size, seed)
 		writeJSON(w, http.StatusAccepted, job.Progress())
 	})
 
@@ -190,7 +96,7 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		jobs := b.ListJobs() // submission order
+		jobs := c.Jobs() // submission order
 		out := make([]sweep.Progress, 0, len(jobs))
 		for i := len(jobs) - 1; i >= 0; i-- {
 			out = append(out, jobs[i].Progress())
@@ -198,12 +104,12 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 		writeJSON(w, http.StatusOK, api.Paginate(out, p))
 	})
 
-	jobFor := func(w http.ResponseWriter, r *http.Request) (serveJob, bool) {
-		j, ok := b.LookupJob(r.PathValue("id"))
-		if !ok {
+	jobFor := func(w http.ResponseWriter, r *http.Request) (*dist.Job, bool) {
+		j := c.Job(r.PathValue("id"))
+		if j == nil {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		}
-		return j, ok
+		return j, j != nil
 	}
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -325,7 +231,8 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 
 	// DELETE is cancel for running jobs and purge for finished ones, and
 	// the two are kept distinct: cancelling a running job is always
-	// allowed (it stops work), but a terminal job is a recorded result
+	// allowed (it stops work — a worker holding one of its leases stops
+	// at its next heartbeat), but a terminal job is a recorded result
 	// and removing it must be an explicit ?purge=1 opt-in — without it
 	// the request answers 409 so an automated cancel sweeping a job
 	// table never silently discards finished results.
@@ -340,7 +247,7 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 				"job %s is %s: DELETE cancels running jobs; add ?purge=1 to remove a finished one", p.ID, p.State))
 			return
 		}
-		b.RemoveJob(p.ID)
+		c.Remove(p.ID)
 		writeJSON(w, http.StatusOK, j.Progress())
 	})
 
@@ -357,31 +264,77 @@ func listen(addr string, h http.Handler, what string) error {
 	return srv.ListenAndServe()
 }
 
-// historyHandler builds the /v1/history surface when both halves exist;
-// a store-less server simply has no history to serve.
-func historyHandler(hist *history.Index, st *store.Store) http.Handler {
-	if hist == nil || st == nil {
-		return nil
+// serverHandler is what a serving mode answers on its address: the
+// client API behind bearer auth and, when distTier is set
+// (-coordinator), the /v1/dist/ worker tier, which runs its own two-tier
+// auth (join secret on registration and admin endpoints, per-worker
+// minted tokens on the long-polling data plane) and so must NOT sit
+// behind BearerAuth. Without it (-serve) /v1/dist/ answers 404.
+func serverHandler(token string, c *dist.Coordinator, hist *history.Index, distTier bool) http.Handler {
+	h := dist.BearerAuth(token, apiMux(c, hist))
+	if !distTier {
+		return h
 	}
-	return history.Handler(hist, st)
-}
-
-// runServe exposes an in-process sweep engine over the client API. hist
-// (nil without -store) adds the results-history query surface.
-func runServe(addr, token string, eng *sweep.Engine, hist *history.Index, st *store.Store) error {
-	h := apiMux(engineBackend{eng: eng, hist: hist}, historyHandler(hist, st))
-	return listen(addr, dist.BearerAuth(token, h), "sweep engine")
-}
-
-// runCoordinator exposes a distributed coordinator: the client API plus
-// the /v1/dist/ worker tier. The client API is join-secret-guarded as a
-// whole; the worker tier runs its own two-tier auth (join secret on
-// registration and admin/fleet endpoints, per-worker minted tokens on
-// the long-polling data plane) so it must NOT sit behind BearerAuth.
-func runCoordinator(addr, token string, c *dist.Coordinator, hist *history.Index) error {
 	root := http.NewServeMux()
 	root.Handle("/v1/dist/", c.Handler())
-	h := apiMux(coordBackend{c: c, hist: hist}, historyHandler(hist, c.Store()), c.WritePrometheus)
-	root.Handle("/", dist.BearerAuth(token, h))
-	return listen(addr, root, "sweep coordinator")
+	root.Handle("/", h)
+	return root
+}
+
+// runServer runs -coordinator (distTier) or -serve on addr until the
+// listener fails: a coordinator built from cfg behind serverHandler,
+// with the results-history surface when cfg has a store. -serve also
+// starts its one worker, running leases on an engine built from eng.
+func runServer(distTier bool, addr string, cfg dist.Config, eng sweep.Config) error {
+	c, err := dist.New(cfg)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	var hist *history.Index
+	if cfg.StoreDir != "" {
+		if hist, err = openHistory(cfg.StoreDir); err != nil {
+			return err
+		}
+	}
+	what := "sweep coordinator"
+	if !distTier {
+		stop, err := startLocalWorker(c, cfg.Token, eng)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		what = "sweep service"
+	}
+	return listen(addr, serverHandler(cfg.Token, c, hist, distTier), what)
+}
+
+// startLocalWorker gives coordinator c its compute for -serve: it serves
+// c's worker tier on a loopback-only listener and starts one in-process
+// worker against it. stop ends the worker, then the listener.
+func startLocalWorker(c *dist.Coordinator, token string, eng sweep.Config) (stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: c.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			lg.Error("local worker tier", "err", err)
+		}
+	}()
+	w, err := dist.StartWorker(dist.WorkerConfig{
+		Coordinator: "http://" + ln.Addr().String(),
+		Token:       token,
+		Engine:      eng,
+		Log:         lg,
+	})
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	return func() {
+		w.Close()
+		srv.Close()
+	}, nil
 }

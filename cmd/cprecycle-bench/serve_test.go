@@ -10,20 +10,51 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
 )
 
-// TestServeAPI exercises the client API over the in-process engine
-// backend: bearer auth, job submission, the SSE stream (every point then
-// a terminal event), the rendered table, and the rejection of specs
-// that try to smuggle server-side paths.
+// testService builds what -serve runs: a coordinator with one in-process
+// worker joined over a loopback worker tier (startLocalWorker). The
+// heartbeat is short, so a DELETE reaches a running lease within
+// milliseconds instead of the default 5s.
+func testService(t *testing.T, cfg dist.Config) *dist.Coordinator {
+	t.Helper()
+	cfg.Heartbeat = 50 * time.Millisecond
+	c, err := dist.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := startLocalWorker(c, cfg.Token, sweep.Config{Workers: 2, ShardPackets: 2})
+	if err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		stop()
+		c.Close()
+	})
+	return c
+}
+
+// testServer serves testService's coordinator the way -serve does.
+func testServer(t *testing.T, token string, cfg dist.Config) (*dist.Coordinator, *httptest.Server) {
+	t.Helper()
+	cfg.Token = token
+	c := testService(t, cfg)
+	srv := httptest.NewServer(serverHandler(token, c, nil, false))
+	t.Cleanup(srv.Close)
+	return c, srv
+}
+
+// TestServeAPI exercises the client API of -serve: bearer auth, job
+// submission, the SSE stream (every point then a terminal event), the
+// rendered table, and the rejection of specs that try to smuggle
+// server-side paths.
 func TestServeAPI(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
-	defer eng.Close()
-	srv := httptest.NewServer(dist.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
-	defer srv.Close()
+	_, srv := testServer(t, "tok", dist.Config{})
 
 	get := func(path, token string) *http.Response {
 		t.Helper()
@@ -148,10 +179,7 @@ func TestServeAPI(t *testing.T) {
 // event) instead of the full per-point replay. A malformed id falls back
 // to full replay.
 func TestServeSSELastEventID(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
-	defer eng.Close()
-	srv := httptest.NewServer(apiMux(engineBackend{eng: eng}, nil))
-	defer srv.Close()
+	_, srv := testServer(t, "", dist.Config{})
 
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs",
 		strings.NewReader(`{"experiment":"fig8","packets":3,"psdu_bytes":60,"seed":3,"axis":[-10,-20]}`))
@@ -242,16 +270,15 @@ func TestServeSSELastEventID(t *testing.T) {
 	}
 }
 
-// TestServeMetricsAndStatus checks the observability surface of the
-// engine backend: /metrics serves valid-looking Prometheus text with
-// the engine families present, and /v1/status returns a coherent
-// snapshot after a job has run.
+// TestServeMetricsAndStatus checks the observability surface of -serve:
+// /metrics serves valid-looking Prometheus text with the engine families
+// of its in-process worker present, and /v1/status returns a coherent
+// coordinator snapshot after a job has run.
 func TestServeMetricsAndStatus(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
-	defer eng.Close()
-	mux := apiMux(engineBackend{eng: eng}, nil)
+	c := testService(t, dist.Config{})
+	mux := apiMux(c, nil)
 
-	job, err := eng.Submit(context.Background(), sweep.Spec{
+	job, err := c.Submit(sweep.Spec{
 		Experiment: "fig8", Packets: 2, PSDUBytes: 60, Seed: 3, Axis: []float64{-10},
 	})
 	if err != nil {
@@ -290,8 +317,8 @@ func TestServeMetricsAndStatus(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Mode != "engine" {
-		t.Errorf("status mode %q, want engine", s.Mode)
+	if s.Mode != "coordinator" {
+		t.Errorf("status mode %q, want coordinator", s.Mode)
 	}
 	if s.Jobs.Done != 1 || s.Jobs.Running != 0 {
 		t.Errorf("status jobs %+v, want 1 done", s.Jobs)
@@ -304,15 +331,15 @@ func TestServeMetricsAndStatus(t *testing.T) {
 	}
 }
 
-// TestServeCoordinatorStatusHasFleet checks the coordinator backend's
-// status snapshot carries the fleet section.
+// TestServeCoordinatorStatusHasFleet checks the coordinator's status
+// snapshot carries the fleet section.
 func TestServeCoordinatorStatusHasFleet(t *testing.T) {
 	c, err := dist.New(dist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s := coordBackend{c: c}.Status()
+	s := newStatus("coordinator", c)
 	if s.Mode != "coordinator" {
 		t.Errorf("status mode %q, want coordinator", s.Mode)
 	}
@@ -353,11 +380,10 @@ func (w *sseFailFlushWriter) FlushError() error {
 // first failed flush instead of replaying the remaining points — or
 // worse, parking in the live-tail select until the next point lands.
 func TestServeSSEStopsOnFlushError(t *testing.T) {
-	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
-	defer eng.Close()
-	mux := apiMux(engineBackend{eng: eng}, nil)
+	c := testService(t, dist.Config{})
+	mux := apiMux(c, nil)
 
-	job, err := eng.Submit(context.Background(), sweep.Spec{
+	job, err := c.Submit(sweep.Spec{
 		Experiment: "fig8", Packets: 2, PSDUBytes: 60, Seed: 3, Axis: []float64{-10, -20},
 	})
 	if err != nil {
@@ -368,7 +394,7 @@ func TestServeSSEStopsOnFlushError(t *testing.T) {
 	}
 
 	w := &sseFailFlushWriter{}
-	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.Progress().ID+"/events", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil)
 	mux.ServeHTTP(w, req)
 	if w.flushes != 1 {
 		t.Errorf("flush attempts = %d, want 1 (stream must end at the first failed flush)", w.flushes)
@@ -377,5 +403,26 @@ func TestServeSSEStopsOnFlushError(t *testing.T) {
 	// second point must never be written.
 	if w.writes != 2 {
 		t.Errorf("event writes = %d, want 2 (id + body of the first point only)", w.writes)
+	}
+}
+
+// TestServeHidesWorkerTier pins that -serve keeps its worker tier off
+// its public address: /v1/dist/register answers 404 there even with the
+// join secret, while the same coordinator under -coordinator registers a
+// worker on it.
+func TestServeHidesWorkerTier(t *testing.T) {
+	c := testService(t, dist.Config{Token: "tok"})
+	register := func(h http.Handler) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/dist/register", strings.NewReader(`{"worker":"intruder"}`))
+		req.Header.Set("Authorization", "Bearer tok")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := register(serverHandler("tok", c, nil, false)); code != http.StatusNotFound {
+		t.Fatalf("-serve public /v1/dist/register: HTTP %d, want 404", code)
+	}
+	if code := register(serverHandler("tok", c, nil, true)); code != http.StatusOK {
+		t.Fatalf("-coordinator /v1/dist/register: HTTP %d, want 200", code)
 	}
 }

@@ -27,7 +27,7 @@ type runtimeStats struct {
 	NumGC          uint32 `json:"num_gc"`
 }
 
-// jobsSummary aggregates the backend's job table.
+// jobsSummary aggregates the coordinator's job table.
 type jobsSummary struct {
 	Running int              `json:"running"`
 	Done    int              `json:"done"`
@@ -36,11 +36,13 @@ type jobsSummary struct {
 }
 
 // statusSnapshot is the one-call dashboard served at GET /v1/status:
-// engine + fleet + runtime state plus a flat dump of every registered
+// jobs + fleet + runtime state plus a flat dump of every registered
 // metric, so `cprecycle-bench -fleet` (or curl | jq) sees the whole
 // process in one read.
 type statusSnapshot struct {
-	Mode       string             `json:"mode"` // "engine" | "coordinator" | "worker" | "supervisor"
+	// Mode is "coordinator" (-serve and -coordinator alike: both serve a
+	// coordinator), "worker" or "supervisor".
+	Mode       string             `json:"mode"`
 	UptimeSec  float64            `json:"uptime_sec"`
 	Runtime    runtimeStats       `json:"runtime"`
 	Jobs       jobsSummary        `json:"jobs"`
@@ -65,15 +67,22 @@ func runtimeSnapshot() runtimeStats {
 	}
 }
 
-// newStatus assembles the parts every mode shares.
-func newStatus(mode string, jobs []serveJob) statusSnapshot {
+// newStatus assembles the parts every mode shares, plus the job table,
+// fleet stats and worker registry of coordinator c when non-nil.
+func newStatus(mode string, c *dist.Coordinator) statusSnapshot {
 	s := statusSnapshot{
 		Mode:      mode,
 		UptimeSec: time.Since(processStart).Seconds(),
 		Runtime:   runtimeSnapshot(),
 		Metrics:   obs.Snapshot(),
 	}
-	for _, j := range jobs {
+	if c == nil {
+		return s
+	}
+	fs := c.Stats()
+	s.Fleet = &fs
+	s.Workers = c.WorkerInfos()
+	for _, j := range c.Jobs() {
 		p := j.Progress()
 		switch p.State {
 		case "running":

@@ -54,8 +54,8 @@
 // per-packet preamble trainings with lazily-fitted KDE models
 // (core.Training) reused across receiver arms. Engine sharding is
 // bit-identical to the sequential path; jobs offer progress counters,
-// per-point event subscriptions, context cancellation, and durable
-// resume through a content-addressed result store (internal/sweep/store:
+// context cancellation, and durable resume through a content-addressed
+// result store (internal/sweep/store:
 // bit-packed CRC-guarded records keyed by plan fingerprint, pool
 // identity and point identity; torn tails and corrupt records salvage
 // every intact prefix record). The store can run on a size budget
@@ -68,7 +68,8 @@
 // its byte-identical table without re-running a packet, and two sweeps
 // diffed point-by-point from stored tallies alone. The HTTP plumbing
 // every /v1 tier shares — the {"error":{"code","message"}} envelope,
-// bearer auth, limit/cursor pagination — lives in internal/api.
+// the 1 MiB-capped JSON body reader, bearer auth, limit/cursor
+// pagination — lives in internal/api.
 //
 // The service scales across processes and machines through
 // internal/sweep/dist: a coordinator decomposes each job into point-range
@@ -119,14 +120,15 @@
 // graceful drain, never revocation; kill -9 the supervisor and a
 // successor rebuilds its world view from the registry, adopting
 // orphans instead of duplicating them. The cmd/cprecycle-bench command
-// routes the sweep figures
-// through the engine and serves both tiers over HTTP (-serve,
-// -coordinator / -worker / -submit / -supervisor, fleet admin via
-// -fleet / -drain /
-// -revoke), with per-point SSE streaming on /v1/jobs/{id}/events and a
-// fleet-wide lifecycle stream on /v1/dist/events (events carry their seq
-// as the SSE id; reconnecting consumers present Last-Event-ID and resume
-// mid-stream instead of replaying every event); see that package's
+// routes the sweep figures through the engine and serves them over HTTP
+// through one job manager, the coordinator: -serve runs it with one
+// in-process worker on a loopback-only worker tier, -coordinator with
+// -worker processes (plus -submit / -supervisor, fleet admin via
+// -fleet / -drain / -revoke), with per-point SSE streaming on
+// /v1/jobs/{id}/events and a fleet-wide lifecycle stream on
+// /v1/dist/events (events carry their seq as the SSE id; reconnecting
+// consumers present Last-Event-ID and resume mid-stream instead of
+// replaying every event); see that package's
 // comment for the spec format, endpoints, protocol and quickstart.
 //
 // The whole service is observable without perturbing it: internal/obs

@@ -1,16 +1,17 @@
 // Package api is the shared HTTP plumbing of the /v1 surface: one JSON
-// error envelope, bearer-token auth middleware, and limit/cursor
-// pagination helpers. The jobs API (cmd/cprecycle-bench), the dist
-// coordinator's worker tier (internal/sweep/dist) and the results-history
-// surface (internal/sweep/history) all build on it, so every endpoint
-// answers failures in the same shape:
+// error envelope, one bounded JSON body reader, bearer-token auth
+// middleware, and limit/cursor pagination helpers. The jobs API
+// (cmd/cprecycle-bench), the dist coordinator's worker tier
+// (internal/sweep/dist) and the results-history surface
+// (internal/sweep/history) all build on it, so every endpoint answers
+// failures in the same shape:
 //
 //	{"error":{"code":"not_found","message":"no job \"j9\""}}
 //
 // with Content-Type application/json. Codes are stable snake_case tokens
 // derived from the HTTP status (bad_request, unauthorized, forbidden,
-// not_found, conflict, gone, internal, …) unless a handler supplies a
-// more specific one. Status codes themselves are the contract the
+// not_found, conflict, gone, payload_too_large, internal, …) unless a
+// handler supplies a more specific one. Status codes themselves are the contract the
 // machine clients key on (the dist worker reacts to 401/403/410 without
 // reading bodies); the envelope exists for humans and log pipelines.
 package api
@@ -18,6 +19,7 @@ package api
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -52,6 +54,8 @@ func CodeForStatus(status int) string {
 		return "conflict"
 	case http.StatusGone:
 		return "gone"
+	case http.StatusRequestEntityTooLarge:
+		return "payload_too_large"
 	case http.StatusInternalServerError:
 		return "internal"
 	default:
@@ -88,6 +92,28 @@ func ErrorCode(w http.ResponseWriter, status int, code, message string) {
 	// The envelope is small and static-shaped; an encode failure here
 	// means the client is gone, which needs no handling.
 	_ = WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: message}})
+}
+
+// MaxBodyBytes caps every JSON request body ReadJSON accepts. The
+// largest legitimate body, a lease result, is a few KiB.
+const MaxBodyBytes = 1 << 20
+
+// ReadJSON decodes r's JSON body into v, refusing unknown fields and
+// reading at most MaxBodyBytes. On failure it answers the request — 413
+// for an oversized body, 400 for malformed JSON — and returns false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		Errorf(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	} else {
+		Errorf(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // BearerAuth wraps h so every request must carry "Authorization: Bearer

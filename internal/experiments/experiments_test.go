@@ -46,6 +46,29 @@ func TestRunPSRValidation(t *testing.T) {
 	}
 }
 
+// TestNewSweepPlanBounds pins the planning-time fidelity bounds: a spec
+// whose packet count or PSDU length no packet could run is refused when
+// it is planned, not on its first packet. The edges of the PSDU range
+// (5 and 4095 octets) plan.
+func TestNewSweepPlanBounds(t *testing.T) {
+	plan := func(packets, psdu int) error {
+		_, err := NewSweepPlan(SweepRequest{Experiment: "fig8", Options: Options{Packets: packets, PSDUBytes: psdu}})
+		return err
+	}
+	for _, c := range []struct{ packets, psdu int }{
+		{-5, 60}, {1, 4}, {1, -1}, {1, 4096}, {1, 1 << 20},
+	} {
+		if err := plan(c.packets, c.psdu); err == nil {
+			t.Errorf("packets %d, psdu_bytes %d planned without error", c.packets, c.psdu)
+		}
+	}
+	for _, c := range []struct{ packets, psdu int }{{1, 5}, {1, wifi.MaxPSDULen}, {0, 0}} {
+		if err := plan(c.packets, c.psdu); err != nil {
+			t.Errorf("packets %d, psdu_bytes %d: %v", c.packets, c.psdu, err)
+		}
+	}
+}
+
 func TestRunPSRCleanChannel(t *testing.T) {
 	m, _ := wifi.MCSByName("QPSK 1/2")
 	cfg := LinkConfig{

@@ -118,6 +118,15 @@ func NewSweepPlan(req SweepRequest) (*SweepPlan, error) {
 		return nil, fmt.Errorf("experiments: %q is not a sweep experiment (have %v)", req.Experiment, SweepExperiments())
 	}
 	req.Options = req.Options.defaults()
+	// Bound the fidelity knobs here, where every caller (engine, dist
+	// coordinator, perfbench) plans, so an out-of-range spec is refused
+	// at submit instead of failing on its first packet.
+	if req.Options.Packets < 1 {
+		return nil, fmt.Errorf("experiments: packets %d must be ≥ 1", req.Options.Packets)
+	}
+	if req.Options.PSDUBytes < 5 || req.Options.PSDUBytes > wifi.MaxPSDULen {
+		return nil, fmt.Errorf("experiments: PSDU length %d outside [5,%d]", req.Options.PSDUBytes, wifi.MaxPSDULen)
+	}
 	p, err := b(req)
 	if err != nil {
 		return nil, err

@@ -1404,9 +1404,10 @@ func (j *Job) closeSubsLocked() {
 	}
 }
 
-// Subscribe mirrors sweep.Job.Subscribe: every completed point so far
-// (store-restored ones first) plus a live channel, closed when the job
-// finishes or cancel is called.
+// Subscribe returns every point completed so far (store-restored ones
+// first) plus a channel delivering each later completion. The channel is
+// buffered for the job's full point count, so publishing never blocks,
+// and is closed when the job finishes (any outcome) or cancel is called.
 func (j *Job) Subscribe() (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1451,8 +1452,8 @@ func (j *Job) Wait(ctx context.Context) (*sweep.Result, error) {
 	return &sweep.Result{Table: j.table, Points: j.results, Elapsed: j.elapsed}, nil
 }
 
-// Progress reports the job's execution state in the same shape as an
-// in-process engine job, so the HTTP API is identical in both modes.
+// Progress reports the job's execution state in the shape of an engine
+// job's (sweep.Progress), with the job's id.
 func (j *Job) Progress() sweep.Progress {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1498,15 +1499,6 @@ func (c *Coordinator) Handler() http.Handler {
 			c.log.Warn("writing response", "err", err)
 		}
 	}
-	readJSON := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return false
-		}
-		return true
-	}
 	// worker wraps a data-plane handler with per-worker token auth.
 	worker := func(h func(ws *workerState, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -1533,7 +1525,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/dist/register", admin(func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if !readJSON(w, r, &req) {
+		if !api.ReadJSON(w, r, &req) {
 			return
 		}
 		_, resp, err := c.registerWorker(req.Worker)
@@ -1546,7 +1538,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/dist/lease", worker(func(ws *workerState, w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !readJSON(w, r, &req) {
+		if !api.ReadJSON(w, r, &req) {
 			return
 		}
 		wait := time.Duration(req.WaitSec * float64(time.Second))
@@ -1569,7 +1561,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/dist/result", worker(func(ws *workerState, w http.ResponseWriter, r *http.Request) {
 		var res LeaseResult
-		if !readJSON(w, r, &res) {
+		if !api.ReadJSON(w, r, &res) {
 			return
 		}
 		res.Worker = ws.id
@@ -1589,7 +1581,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/dist/heartbeat", worker(func(ws *workerState, w http.ResponseWriter, r *http.Request) {
 		var hb Heartbeat
-		if !readJSON(w, r, &hb) {
+		if !api.ReadJSON(w, r, &hb) {
 			return
 		}
 		j := c.jobForLease(hb.Lease)
@@ -1643,7 +1635,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/dist/annotate", admin(func(w http.ResponseWriter, r *http.Request) {
 		var req AnnotateRequest
-		if !readJSON(w, r, &req) {
+		if !api.ReadJSON(w, r, &req) {
 			return
 		}
 		if !strings.HasPrefix(req.Type, "supervisor-") || len(req.Type) > 64 {

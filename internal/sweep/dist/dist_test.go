@@ -529,6 +529,48 @@ func TestLeaseAuth(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRange pins that the coordinator, which plans
+// without running a packet, still refuses a spec no packet could run:
+// it fails at Submit instead of being accepted and failing on the fleet.
+func TestSubmitRejectsOutOfRange(t *testing.T) {
+	c, _ := testCoordinator(t, Config{})
+	for _, bad := range []sweep.Spec{
+		{Experiment: "fig8", Packets: -5, PSDUBytes: 60},
+		{Experiment: "fig8", Packets: 2, PSDUBytes: 4096},
+		{Experiment: "fig8", Packets: 2, PSDUBytes: 1 << 20},
+		{Experiment: "fig8", Packets: 2, PSDUBytes: 4},
+	} {
+		if j, err := c.Submit(bad); err == nil {
+			t.Errorf("spec %+v accepted as job %s", bad, j.ID)
+		}
+	}
+	if n := len(c.Jobs()); n != 0 {
+		t.Fatalf("%d jobs registered from refused specs", n)
+	}
+}
+
+// TestWorkerTierBodyCap pins the bounded body reader on the worker tier:
+// a 2 MiB registration body is refused with a 413 envelope before any
+// worker is minted.
+func TestWorkerTierBodyCap(t *testing.T) {
+	c, _ := testCoordinator(t, Config{})
+	body := `{"worker":"` + strings.Repeat("w", 2<<20) + `"}`
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/dist/register", strings.NewReader(body)))
+	var e struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || e.Error.Code != "payload_too_large" {
+		t.Fatalf("2 MiB register: HTTP %d code %q, want 413 payload_too_large", rec.Code, e.Error.Code)
+	}
+	if n := len(c.WorkerInfos()); n != 0 {
+		t.Fatalf("%d workers registered from an oversized body", n)
+	}
+}
+
 // TestResultMergeEdgeCases pins the merge rules a flaky network exercises:
 // duplicate results are idempotent, stale errors are dropped, live errors
 // fail the job, and a fingerprint-mismatched result is refused.

@@ -48,19 +48,18 @@ func (c Config) withDefaults() Config {
 // Engine is the sharded sweep service. One engine serves any number of
 // concurrent jobs over a single bounded worker pool and owns the shared
 // waveform pool. Create with New, submit with Submit, stop with Close.
+// The engine keeps no table of its jobs: a job is reachable only through
+// its caller's *Job and, while it runs, its queued shards.
 type Engine struct {
 	cfg  Config
 	pool *wifi.WaveformPool
 
 	tasks chan shard
-	quit  chan struct{}
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID int
-	closed bool
+	// ctx is cancelled by Close: it stops the workers and, through each
+	// running job's context.AfterFunc hook, cancels the job.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // shard is one schedulable unit: a packet range of one point of one job.
@@ -78,9 +77,8 @@ func New(cfg Config) *Engine {
 		cfg:   cfg,
 		pool:  wifi.NewWaveformPool(cfg.PoolSize, cfg.PoolSeed),
 		tasks: make(chan shard),
-		quit:  make(chan struct{}),
-		jobs:  make(map[string]*Job),
 	}
+	e.ctx, e.stop = context.WithCancel(context.Background())
 	for w := 0; w < cfg.Workers; w++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -98,23 +96,10 @@ func (e *Engine) PoolIdentity() (size int, seed int64) {
 	return e.cfg.PoolSize, e.cfg.PoolSeed
 }
 
-// Close stops the workers, cancelling any running jobs first.
+// Close stops the workers and cancels every running job: their Wait
+// returns context.Canceled.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	jobs := make([]*Job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
-	e.mu.Unlock()
-	for _, j := range jobs {
-		j.Cancel()
-	}
-	close(e.quit)
+	e.stop()
 	e.wg.Wait()
 }
 
@@ -122,7 +107,7 @@ func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		select {
-		case <-e.quit:
+		case <-e.ctx.Done():
 			return
 		case sh := <-e.tasks:
 			e.runShard(sh)
@@ -250,27 +235,27 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 			ps.done = true
 			j.restoredPoints++
 			j.donePackets.Add(int64(t.N))
-			done := int(j.donePoints.Add(1))
-			j.events = append(j.events, PointEvent{
-				Seq: len(j.events), Point: idx, N: t.N, OK: t.OK,
-				DonePoints: done, Points: j.active,
-			})
+			j.donePoints.Add(1)
 		}
 	}
 
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.ctx.Err() != nil {
 		cancel()
+		if j.unpin != nil {
+			j.unpin()
+		}
 		return nil, fmt.Errorf("sweep: engine is closed")
 	}
-	e.nextID++
-	j.ID = fmt.Sprintf("j%d", e.nextID)
-	e.jobs[j.ID] = j
-	e.order = append(e.order, j.ID)
-	e.mu.Unlock()
 	jobsSubmitted.Inc()
 	jobsRunning.Add(1)
+	// Close cancels the job through this hook. The job releases it when
+	// it settles (fail, finalize), so a finished job is not kept
+	// reachable by the engine. Registered under j.mu: a hook that fires
+	// at once (Close racing this submit) waits in fail until stopClose
+	// is set.
+	j.mu.Lock()
+	j.stopClose = context.AfterFunc(e.ctx, j.Cancel)
+	j.mu.Unlock()
 
 	// Decompose incomplete points into shards and count them before
 	// feeding: completeShard must know each point's shard total.
@@ -302,55 +287,12 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 				// Cancelled: account the unscheduled shards so the job
 				// closes once in-flight ones drain.
 				j.completeShard(sh.point, nil, 0, j.ctx.Err())
-			case <-e.quit:
+			case <-e.ctx.Done():
 				return
 			}
 		}
 	}()
 	return j, nil
-}
-
-// Job returns a submitted job by id, or nil.
-func (e *Engine) Job(id string) *Job {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.jobs[id]
-}
-
-// Remove cancels the job if it is still running and forgets it,
-// releasing its results and plan — the pruning hook for long-running
-// services, whose job table would otherwise grow monotonically. Reports
-// whether the job existed. In-flight shards hold the job directly and
-// drain harmlessly after removal.
-func (e *Engine) Remove(id string) bool {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	if ok {
-		delete(e.jobs, id)
-		for i, oid := range e.order {
-			if oid == id {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
-	}
-	e.mu.Unlock()
-	if !ok {
-		return false
-	}
-	j.Cancel() // no-op when already finished
-	return true
-}
-
-// Jobs returns every submitted job in submission order.
-func (e *Engine) Jobs() []*Job {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.jobs[id])
-	}
-	return out
 }
 
 // pointState accumulates one measurement point's tallies across shards.
@@ -366,7 +308,6 @@ type pointState struct {
 
 // Job is one submitted sweep. All methods are safe for concurrent use.
 type Job struct {
-	ID   string
 	Spec Spec
 
 	plan   *experiments.SweepPlan
@@ -379,6 +320,8 @@ type Job struct {
 	keys   []store.Key
 	unpin  func()
 	start  time.Time
+	// stopClose releases the engine-Close hook (see submit).
+	stopClose func() bool
 
 	totalPackets   int64
 	restoredPoints int
@@ -392,9 +335,6 @@ type Job struct {
 	elapsed  time.Duration
 	finished bool
 	done     chan struct{}
-	events   []PointEvent
-	subs     map[int]chan PointEvent
-	nextSub  int
 }
 
 // Result is a completed sweep: the rendered table plus the raw per-point,
@@ -409,7 +349,7 @@ type Result struct {
 
 // Progress is a snapshot of a job's execution state.
 type Progress struct {
-	ID             string  `json:"id"`
+	ID             string  `json:"id"` // the coordinator's job id; empty for engine jobs
 	Experiment     string  `json:"experiment"`
 	State          string  `json:"state"` // "running", "done" or "failed"
 	Points         int     `json:"points"`
@@ -421,11 +361,11 @@ type Progress struct {
 	Error          string  `json:"error,omitempty"`
 }
 
-// PointEvent is one completed measurement point as published to
-// Subscribe streams (and, over SSE, to dashboards): the point's plan
-// index and tallies plus the job-level completion counters at the moment
-// it finished. Seq numbers a job's events 0,1,… in completion order;
-// checkpoint-restored points replay first.
+// PointEvent is one completed measurement point as a job's event
+// stream publishes it (dist.Job.Subscribe and, over SSE, the jobs API):
+// the point's plan index and tallies plus the job-level completion
+// counters at the moment it finished. Seq numbers a job's events 0,1,…
+// in completion order; store-restored points replay first.
 type PointEvent struct {
 	Seq        int   `json:"seq"`
 	Point      int   `json:"point"`
@@ -439,65 +379,6 @@ type PointEvent struct {
 // the distributed worker uses it to fingerprint-check a lease against the
 // coordinator's plan before trusting the point indexes.
 func (j *Job) Plan() *experiments.SweepPlan { return j.plan }
-
-// Subscribe returns every point completed so far (in completion order)
-// plus a channel delivering each subsequent completion. The channel is
-// buffered for the job's full point count — sends never block the
-// engine's workers — and is closed when the job finishes (any outcome) or
-// when cancel is called. Callers should pair the stream with Done /
-// Progress to learn the final state.
-func (j *Job) Subscribe() (past []PointEvent, ch <-chan PointEvent, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = append([]PointEvent(nil), j.events...)
-	c := make(chan PointEvent, j.active+1)
-	if j.finished {
-		close(c)
-		return past, c, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	if j.subs == nil {
-		j.subs = make(map[int]chan PointEvent)
-	}
-	j.subs[id] = c
-	return past, c, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if cc, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(cc)
-		}
-	}
-}
-
-// publishPoint records one completed point and fans it out to
-// subscribers. Sends happen under j.mu, as do subscriber channel closes,
-// so a send can never race a close; the per-subscriber buffer covers
-// every possible event, so sends never block.
-func (j *Job) publishPoint(point, n int, ok []int, donePoints int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished {
-		return
-	}
-	ev := PointEvent{
-		Seq: len(j.events), Point: point, N: n, OK: append([]int(nil), ok...),
-		DonePoints: donePoints, Points: j.active,
-	}
-	j.events = append(j.events, ev)
-	for _, c := range j.subs {
-		c <- ev
-	}
-}
-
-// closeSubs closes every subscriber channel. Callers hold j.mu.
-func (j *Job) closeSubs() {
-	for id, c := range j.subs {
-		delete(j.subs, id)
-		close(c)
-	}
-}
 
 // completeShard merges one shard's tallies (or failure) into its point.
 func (j *Job) completeShard(point int, counts []int, n int, err error) {
@@ -534,7 +415,6 @@ func (j *Job) completeShard(point int, counts []int, n int, err error) {
 	}
 	done := int(j.donePoints.Add(1))
 	pointsDone.Inc()
-	j.publishPoint(point, nTotal, okCopy, done)
 	if done == j.active {
 		j.finalize()
 	}
@@ -548,10 +428,7 @@ func (j *Job) fail(err error) {
 		j.finished = true
 		j.err = err
 		j.elapsed = time.Since(j.start)
-		j.closeSubs()
-		if j.unpin != nil {
-			j.unpin()
-		}
+		j.releaseLocked()
 	}
 	j.mu.Unlock()
 	if already {
@@ -594,10 +471,7 @@ func (j *Job) finalize() {
 	j.table = table
 	j.results = results
 	j.elapsed = time.Since(j.start)
-	j.closeSubs()
-	if j.unpin != nil {
-		j.unpin()
-	}
+	j.releaseLocked()
 	j.mu.Unlock()
 	if err != nil {
 		jobsFailed.Inc()
@@ -607,6 +481,17 @@ func (j *Job) finalize() {
 	jobsRunning.Add(-1)
 	j.cancel()
 	close(j.done)
+}
+
+// releaseLocked drops what ties a settled job to the engine and the
+// store: the Close hook and the store pin. Callers hold j.mu.
+func (j *Job) releaseLocked() {
+	if j.stopClose != nil {
+		j.stopClose()
+	}
+	if j.unpin != nil {
+		j.unpin()
+	}
 }
 
 // Cancel aborts the job; in-flight shards stop at the next packet
@@ -634,7 +519,6 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 // Progress returns a snapshot of the job's execution state.
 func (j *Job) Progress() Progress {
 	p := Progress{
-		ID:             j.ID,
 		Experiment:     j.Spec.Experiment,
 		State:          "running",
 		Points:         j.active,

@@ -34,6 +34,13 @@
 // at submit instead of executed. An interrupted sweep resubmitted
 // against the same store resumes at the first missing point; a repeated
 // identical sweep completes without running a packet.
+//
+// The engine has no job registry and no event subscribers: the caller
+// holds the *Job and waits on it, polls its Progress or cancels it, and a
+// settled job is garbage once the caller drops it. Job ids, listings,
+// per-point event streams and removal belong to the distributed
+// coordinator (internal/sweep/dist), which every HTTP service runs in
+// front of its workers' engines.
 package sweep
 
 import (

@@ -4,8 +4,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sweep/store"
@@ -260,26 +263,75 @@ func TestStoreContentAddressing(t *testing.T) {
 	checkSameResults(t, pres.Points, res3.Points)
 }
 
-// TestRemove pins job pruning: removed jobs disappear from the engine's
-// table (running ones are cancelled first).
-func TestRemove(t *testing.T) {
+// TestFinishedJobNotRetained pins that the engine keeps no reference to
+// a job once it has settled: after the caller drops its *Job, the job is
+// collected while the engine lives on. A long-lived engine — a dist
+// worker runs every lease as one job — would otherwise grow by every
+// finished job's plan and tallies.
+func TestFinishedJobNotRetained(t *testing.T) {
 	e := testEngine()
 	defer e.Close()
-	j, err := e.Submit(context.Background(), testSpec())
+	collected := make(chan struct{})
+	func() {
+		j, err := e.Submit(context.Background(), testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(j, func(c chan struct{}) { close(c) }, collected)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a finished job is still reachable from its engine")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseCancelsRunningJobs pins that Close reaches jobs it keeps no
+// table of: a job still running when its engine closes fails with
+// context.Canceled, including jobs submitted while Close runs, and a
+// closed engine refuses new jobs.
+func TestCloseCancelsRunningJobs(t *testing.T) {
+	e := New(Config{Workers: 1, ShardPackets: 1})
+	spec := testSpec()
+	spec.Packets = 500
+	j, err := e.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rj, err := e.Submit(context.Background(), spec)
+			if err != nil {
+				return // lost the race with Close
+			}
+			if _, err := rj.Wait(ctx); err != context.Canceled {
+				t.Errorf("Wait on a job submitted during Close = %v, want context.Canceled", err)
+			}
+		}()
 	}
-	if !e.Remove(j.ID) {
-		t.Fatal("Remove reported missing job")
+	e.Close()
+	wg.Wait()
+	if _, err := j.Wait(ctx); err != context.Canceled {
+		t.Fatalf("Wait after Close = %v, want context.Canceled", err)
 	}
-	if e.Job(j.ID) != nil || len(e.Jobs()) != 0 {
-		t.Fatal("job still listed after Remove")
-	}
-	if e.Remove(j.ID) {
-		t.Fatal("second Remove reported success")
+	if _, err := e.Submit(context.Background(), testSpec()); err == nil {
+		t.Fatal("closed engine accepted a job")
 	}
 }
 

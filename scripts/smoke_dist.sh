@@ -18,6 +18,12 @@
 # replaced, and a SIGSTOPped one that must trip the stuck-lease
 # detector (drain, then revocation, then reap). The supervised sweep's
 # table must again be byte-identical to the single engine's.
+#
+# A third leg runs -serve (a coordinator with one in-process worker on a
+# loopback-only worker tier) with -store and -token: its table for the
+# first leg's spec must match the single engine's byte for byte, the job
+# must be written as a durable manifest, and the worker tier must not
+# answer on the public address.
 set -eu
 
 GO=${GO:-go}
@@ -57,19 +63,20 @@ PIDS="$PIDS $W1"
 W2=$!
 PIDS="$PIDS $W2"
 
-up=0
-for _ in $(seq 1 100); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$PORT") 2>/dev/null; then
-        up=1
-        break
-    fi
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    echo "coordinator never came up" >&2
-    cat "$TMP/coord.log" >&2
+# wait_up PORT LOG: block until something listens on PORT, or fail
+# showing LOG.
+wait_up() {
+    for _ in $(seq 1 100); do
+        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "server on port $1 never came up" >&2
+    cat "$2" >&2
     exit 1
-fi
+}
+wait_up "$PORT" "$TMP/coord.log"
 
 echo "== submitting distributed job (SSE stream in background) =="
 # shellcheck disable=SC2086
@@ -409,4 +416,34 @@ if leftover=$(first_live_sup_pid); then
 fi
 echo "   supervisor drained its fleet and exited"
 
-echo "== smoke-dist OK: table byte-identical to single engine despite worker kill, coordinator kill -9 + store replay, drain and replacement; store re-run and history surface verified; supervisor scaled, replaced a kill -9, reaped a SIGSTOP zombie, drained on SIGTERM =="
+echo "== serve leg: -serve with -store and -token, one in-process worker =="
+SERVE_PORT=$((PORT + 3))
+"$BIN" -serve "127.0.0.1:$SERVE_PORT" -store "$TMP/serve" -token "$TOKEN" \
+    >"$TMP/serve.log" 2>&1 &
+PIDS="$PIDS $!"
+wait_up "$SERVE_PORT" "$TMP/serve.log"
+# shellcheck disable=SC2086
+if ! "$BIN" -submit -join "http://127.0.0.1:$SERVE_PORT" -token "$TOKEN" $SPEC_FLAGS \
+    >"$TMP/serve.out" 2>"$TMP/serve-submit.log"; then
+    echo "-serve submit failed:" >&2
+    cat "$TMP/serve-submit.log" "$TMP/serve.log" >&2
+    exit 1
+fi
+if ! diff -u "$TMP/direct.out" "$TMP/serve.out"; then
+    echo "-serve table differs from the single-engine table" >&2
+    exit 1
+fi
+if [ ! -s "$TMP/serve/j1.json" ]; then
+    echo "-serve -store wrote no job manifest" >&2
+    ls -l "$TMP/serve" >&2
+    exit 1
+fi
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "Authorization: Bearer $TOKEN" \
+    -d '{"worker":"intruder"}' "http://127.0.0.1:$SERVE_PORT/v1/dist/register")
+if [ "$code" != 404 ]; then
+    echo "-serve answered $code on its public /v1/dist/register, want 404" >&2
+    exit 1
+fi
+echo "   -serve table byte-identical, manifest written, worker tier not public"
+
+echo "== smoke-dist OK: table byte-identical to single engine despite worker kill, coordinator kill -9 + store replay, drain and replacement; store re-run and history surface verified; supervisor scaled, replaced a kill -9, reaped a SIGSTOP zombie, drained on SIGTERM; -serve table byte-identical with its worker tier off the public address =="
