@@ -34,9 +34,10 @@ test-purego:
 # caches they exercise, rx included), the dsp kernel dispatch (shared
 # SlideTab/FFT-plan caches + the ForceScalar toggle), and the Viterbi
 # decoder (the shared decision-word pool and the ACS kernel choice under
-# concurrent decodes).
+# concurrent decodes), and the transmit path (per-worker synthesis scratch
+# over the shared waveform pool, preamble and interleaver caches).
 test-race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/
+	$(GO) test -race ./internal/sweep/... ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/ ./internal/interference/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
 # pool) plus the same-seed decision pins, direct and packet-range
@@ -58,9 +59,14 @@ bench:
 
 # Hot-path micro-benchmarks with allocation reporting: segment
 # demodulation (FFT-per-window reference vs the planar sliding-DFT
-# batch), multi-segment observation, Viterbi, and the dsp kernels (planar
-# FFT, planar sliding DFT, interleaved FreqShift).
+# batch), multi-segment observation, Viterbi, the dsp kernels (planar
+# FFT, planar sliding DFT, interleaved FreqShift), and the transmit layer
+# (one ACI scenario's synthesis, allocating and reused; a 400-octet PPDU
+# encode; the multipath filter).
 bench-hotpath:
+	$(GO) test -bench 'BenchmarkScenarioRun' -benchtime 50x -benchmem -run '^$$' ./internal/interference/
+	$(GO) test -bench 'BenchmarkBuildPPDU400B' -benchtime 500x -benchmem -run '^$$' ./internal/wifi/
+	$(GO) test -bench 'BenchmarkMultipathApply' -benchtime 2000x -benchmem -run '^$$' ./internal/channel/
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -run '^$$' ./internal/coding/
@@ -81,9 +87,15 @@ bench-hotpath:
 # planar sliding DFT (BenchmarkPlanar*, each with its ForceScalar twin)
 # and the interleaved FreqShift;
 # the obs suite pins the metrics layer at 0 allocs per hot-path update;
-# the store suite covers the result store's encode/decode/lookup path.
+# the store suite covers the result store's encode/decode/lookup path; the
+# transmit suites cover one ACI scenario's synthesis (BenchmarkScenarioRunACI
+# allocating, BenchmarkScenarioRunIntoACI into a reused Composite), a
+# 400-octet PPDU encode and the multipath filter.
 bench-json:
 	set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test -bench 'BenchmarkScenarioRun' -benchtime 50x -count 3 -benchmem -run '^$$' ./internal/interference/ >> "$$tmp"; \
+	$(GO) test -bench 'BenchmarkBuildPPDU400B' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/wifi/ >> "$$tmp"; \
+	$(GO) test -bench 'BenchmarkMultipathApply' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/channel/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/rx/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkDecodeData400BQPSK' -benchtime 100x -count 3 -benchmem -run '^$$' ./internal/rx/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/ofdm/ >> "$$tmp"; \

@@ -54,8 +54,8 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // (a server run with -store), records every accepted submission and
 // mounts the read-only GET /v1/history/* query surface alongside the
 // jobs API. /metrics carries the coordinator's fleet families next to
-// the registry's.
-func apiMux(c *dist.Coordinator, hist *history.Index) *http.ServeMux {
+// the registry's. A request no route matches gets the error envelope.
+func apiMux(c *dist.Coordinator, hist *history.Index) http.Handler {
 	mux := http.NewServeMux()
 
 	obsRoutes(mux, func() statusSnapshot { return newStatus("coordinator", c) }, c.WritePrometheus)
@@ -251,7 +251,7 @@ func apiMux(c *dist.Coordinator, hist *history.Index) *http.ServeMux {
 		writeJSON(w, http.StatusOK, j.Progress())
 	})
 
-	return mux
+	return api.Routes(mux)
 }
 
 func listen(addr string, h http.Handler, what string) error {

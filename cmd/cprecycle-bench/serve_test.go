@@ -426,3 +426,32 @@ func TestServeHidesWorkerTier(t *testing.T) {
 		t.Fatalf("-coordinator /v1/dist/register: HTTP %d, want 200", code)
 	}
 }
+
+// TestServeUnknownRoutesUseEnvelope pins the envelope on paths no route
+// serves: an unknown /v1 path and -serve's hidden /v1/dist/register are
+// 404s and a known path under the wrong method a 405, all in the JSON
+// error envelope like every other /v1 failure.
+func TestServeUnknownRoutesUseEnvelope(t *testing.T) {
+	_, srv := testServer(t, "tok", dist.Config{})
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(`{"worker":"w"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer tok")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	decodeEnvelope(t, do(http.MethodGet, "/v1/nope"), http.StatusNotFound, "not_found")
+	decodeEnvelope(t, do(http.MethodPost, "/v1/dist/register"), http.StatusNotFound, "not_found")
+	decodeEnvelope(t, do(http.MethodGet, "/v1/history/sweeps"), http.StatusNotFound, "not_found")
+	resp := do(http.MethodDelete, "/v1/experiments")
+	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, http.MethodGet) {
+		t.Fatalf("405 Allow header %q, want GET listed", allow)
+	}
+	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, "method_not_allowed")
+}

@@ -116,6 +116,51 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// Routes wraps mux so that a request no pattern matches is answered in
+// the error envelope rather than ServeMux's plain text: 404, or 405 with
+// the mux's Allow header when the path is routed under other methods.
+// Everything else, redirects included, is served by mux as before.
+func Routes(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" {
+			// The mux's fallback decides between 404 and 405; run it
+			// against a recorder to learn which.
+			rec := &fallbackRecorder{header: http.Header{}}
+			h.ServeHTTP(rec, r)
+			if rec.status == http.StatusNotFound || rec.status == http.StatusMethodNotAllowed {
+				if allow := rec.header.Get("Allow"); allow != "" {
+					w.Header().Set("Allow", allow)
+				}
+				Errorf(w, rec.status, "no route for %s %s", r.Method, r.URL.Path)
+				return
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// fallbackRecorder captures the status and headers of a ServeMux
+// fallback handler and discards its body.
+type fallbackRecorder struct {
+	header http.Header
+	status int
+}
+
+func (f *fallbackRecorder) Header() http.Header { return f.header }
+
+func (f *fallbackRecorder) Write(b []byte) (int, error) {
+	if f.status == 0 {
+		f.status = http.StatusOK
+	}
+	return len(b), nil
+}
+
+func (f *fallbackRecorder) WriteHeader(status int) {
+	if f.status == 0 {
+		f.status = status
+	}
+}
+
 // BearerAuth wraps h so every request must carry "Authorization: Bearer
 // <token>". An empty token disables the check (localhost
 // experimentation; production services set one). The comparison is

@@ -39,3 +39,47 @@ func TestReadJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutes pins the fallback of a wrapped ServeMux: an unknown path is
+// a 404 and a known path under the wrong method a 405 with the Allow
+// header, both in the error envelope; routed requests and the mux's
+// path-cleaning redirects are untouched.
+func TestRoutes(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/things", func(w http.ResponseWriter, r *http.Request) {
+		_ = WriteJSON(w, http.StatusOK, []string{"a"})
+	})
+	h := Routes(mux)
+	serve := func(method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec
+	}
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		code         string
+	}{
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, "not_found"},
+		{http.MethodPost, "/v1/things/x", http.StatusNotFound, "not_found"},
+		{http.MethodDelete, "/v1/things", http.StatusMethodNotAllowed, "method_not_allowed"},
+	} {
+		rec := serve(tc.method, tc.path)
+		if rec.Code != tc.status || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s %s: HTTP %d %q, want %d in JSON", tc.method, tc.path, rec.Code, rec.Header().Get("Content-Type"), tc.status)
+		}
+		var e ErrorBody
+		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || e.Error.Code != tc.code || e.Error.Message == "" {
+			t.Fatalf("%s %s: envelope %+v (%v), want code %q", tc.method, tc.path, e, err, tc.code)
+		}
+		if tc.status == http.StatusMethodNotAllowed && !strings.Contains(rec.Header().Get("Allow"), http.MethodGet) {
+			t.Fatalf("405 without the mux's Allow header: %q", rec.Header().Get("Allow"))
+		}
+	}
+	if rec := serve(http.MethodGet, "/v1/things"); rec.Code != http.StatusOK {
+		t.Fatalf("routed request: HTTP %d", rec.Code)
+	}
+	if rec := serve(http.MethodGet, "/v1//things"); rec.Code != http.StatusMovedPermanently {
+		t.Fatalf("unclean path: HTTP %d, want the mux's 301", rec.Code)
+	}
+}

@@ -89,6 +89,41 @@ func TestApplyMatchesManualConvolution(t *testing.T) {
 	}
 }
 
+// TestApplyWindows pins the windowed kernel to dsp.Conv truncated to the
+// input length, bit for bit: ApplyInto writes any output window, reading
+// only the window's input plus the taps' span before it.
+func TestApplyWindows(t *testing.T) {
+	r := dsp.NewRand(5)
+	x := r.CNVector(40, 1)
+	for _, m := range []*Multipath{Identity(), Indoor2Tap(), Exponential(r, 5, 3)} {
+		full := dsp.Conv(x, m.Taps)[:len(x)]
+		span := len(m.Taps) - 1
+		for lo := 0; lo <= len(x); lo++ {
+			for hi := lo; hi <= len(x); hi++ {
+				// Only the readable part of the input is real; the rest is
+				// NaN, so a read outside it shows in the output.
+				in := make([]complex128, len(x))
+				for i := range in {
+					in[i] = complex(math.NaN(), math.NaN())
+				}
+				copy(in[max(0, lo-span):hi], x[max(0, lo-span):hi])
+				got := make([]complex128, hi-lo)
+				m.ApplyInto(got, in, lo)
+				for i := range got {
+					if !sameBits(got[i], full[lo+i]) {
+						t.Fatalf("%d taps, window [%d,%d): ApplyInto[%d] = %v, want %v", len(m.Taps), lo, hi, i, got[i], full[lo+i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
 func TestFrequencyResponseMatchesDFT(t *testing.T) {
 	m := Indoor2Tap()
 	h := m.FrequencyResponse(64)

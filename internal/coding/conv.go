@@ -25,7 +25,12 @@ func parity(v uint32) byte {
 // all-zero state. Output is A0 B0 A1 B1 …, twice the input length. Callers
 // terminate the trellis by appending six zero tail bits to the input.
 func ConvEncode(bits []byte) []byte {
-	out := make([]byte, 0, 2*len(bits))
+	return AppendConvEncode(make([]byte, 0, 2*len(bits)), bits)
+}
+
+// AppendConvEncode is ConvEncode appending the coded bits to out, so a
+// transmitter can reuse one buffer across frames.
+func AppendConvEncode(out, bits []byte) []byte {
 	var reg uint32 // reg holds the last 6 input bits; newest in bit 5... we use shift-in-at-top
 	for _, b := range bits {
 		v := (uint32(b&1) << 6) | reg
@@ -106,11 +111,22 @@ func (r CodeRate) puncturePattern() []bool {
 
 // Puncture removes the positions dropped by rate r from mother-code output.
 func Puncture(coded []byte, r CodeRate) []byte {
+	return AppendPunctured(make([]byte, 0, len(coded)), coded, r)
+}
+
+// AppendPunctured is Puncture appending the kept bits to out.
+func AppendPunctured(out, coded []byte, r CodeRate) []byte {
 	pat := r.puncturePattern()
-	out := make([]byte, 0, len(coded))
-	for i, b := range coded {
-		if pat[i%len(pat)] {
+	if r == Rate1_2 {
+		return append(out, coded...)
+	}
+	j := 0
+	for _, b := range coded {
+		if pat[j] {
 			out = append(out, b)
+		}
+		if j++; j == len(pat) {
+			j = 0
 		}
 	}
 	return out

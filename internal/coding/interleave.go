@@ -1,6 +1,9 @@
 package coding
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Interleaver is the 802.11 two-permutation block interleaver (§18.3.5.7).
 // It operates on one OFDM symbol's worth of coded bits (Ncbps) and ensures
@@ -38,13 +41,23 @@ func NewInterleaver(ncbps, nbpsc int) (*Interleaver, error) {
 	return il, nil
 }
 
-// MustInterleaver is NewInterleaver but panics on error.
+// interleavers caches MustInterleaver's results: an Interleaver is
+// read-only once built, and every frame of an MCS uses the same one.
+var interleavers sync.Map // [2]int{ncbps, nbpsc} -> *Interleaver
+
+// MustInterleaver is NewInterleaver but panics on error. The interleaver
+// is built once per (ncbps, nbpsc) and shared process-wide.
 func MustInterleaver(ncbps, nbpsc int) *Interleaver {
+	key := [2]int{ncbps, nbpsc}
+	if v, ok := interleavers.Load(key); ok {
+		return v.(*Interleaver)
+	}
 	il, err := NewInterleaver(ncbps, nbpsc)
 	if err != nil {
 		panic(err)
 	}
-	return il
+	v, _ := interleavers.LoadOrStore(key, il)
+	return v.(*Interleaver)
 }
 
 // Ncbps returns the block size in bits.

@@ -178,11 +178,16 @@ func segmentPlanFor(g ofdm.Grid, num int, ch *channel.Multipath, strideDiv int) 
 // packet index, any partition of [0, Packets) tallies to bit-identical
 // counts.
 //
-// A PSRPlan is immutable and safe for concurrent RunPacket/RunRange calls
-// from multiple goroutines.
+// A PSRPlan's configuration is immutable, and the plan is safe for
+// concurrent RunPacket/RunRange calls from multiple goroutines.
 type PSRPlan struct {
 	cfg  LinkConfig
 	segs []int
+
+	// composites holds *interference.Composite scratch: RunPacket borrows
+	// one per packet, so a worker reuses its stream, interference and
+	// transmit buffers instead of allocating them for every packet.
+	composites sync.Pool
 }
 
 // PlanPSR validates cfg, fills defaults and computes the segment plan.
@@ -329,13 +334,20 @@ func RunPSR(cfg LinkConfig) ([]PSRPoint, error) {
 // every configured arm, writing each arm's packet success into ok (indexed
 // like Receivers). Each packet derives its own RNG from (Seed, pkt), so
 // any executor — the striding workers of RunPSR or a sweep-engine shard —
-// produces identical results for the same index.
+// produces identical results for the same index. The packet's waveforms
+// are synthesised into a Composite borrowed from the plan, so concurrent
+// callers each reuse their own buffers.
 func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 	pktStart := time.Now()
 	cfg := p.cfg
 	r := dsp.NewRand(cfg.Seed*1_000_003 + int64(pkt))
 	psdu := wifi.BuildPSDU(r.Bytes(cfg.PSDUBytes - 4))
-	c, err := cfg.Scenario.Run(r, psdu, cfg.MCS)
+	c, _ := p.composites.Get().(*interference.Composite)
+	if c == nil {
+		c = new(interference.Composite)
+	}
+	defer p.composites.Put(c)
+	err := cfg.Scenario.RunInto(c, r, psdu, cfg.MCS)
 	stageTx.ObserveSince(pktStart)
 	if err != nil {
 		return err

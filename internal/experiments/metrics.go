@@ -5,7 +5,7 @@ import (
 )
 
 // Packet-level spans recorded once per RunPacket. "tx" covers waveform
-// synthesis + channel simulation (Scenario.Run); "train" covers the
+// synthesis + channel simulation (Scenario.RunInto); "train" covers the
 // shared CPRecycle preamble training pass. The observe/decode stages of
 // the same cpr_sweep_stage_seconds family are recorded inside
 // internal/rx. All hooks are loop-granular: a few time.Now calls and

@@ -98,6 +98,18 @@ type Composite struct {
 	FrameStart int
 	// PSDU is the transmitted victim PSDU.
 	PSDU []byte
+
+	// scratch is the transmit path's working memory, kept for RunInto.
+	scratch synthScratch
+}
+
+// synthScratch holds the buffers RunInto reuses from packet to packet
+// besides the Composite's own: the victim PPDU (Victim points at it), one
+// interferer tile, and the PPDU encoder.
+type synthScratch struct {
+	victim wifi.PPDU
+	tile   []complex128
+	tx     wifi.Builder
 }
 
 // VictimGrid returns the victim's grid for the scenario.
@@ -119,8 +131,24 @@ func (s *Scenario) InterfererGrid(i int) ofdm.Grid {
 }
 
 // Run realises the scenario for one victim PSDU, drawing interferer
-// payloads, victim data and noise from r.
+// payloads, victim data and noise from r. It returns a freshly allocated
+// Composite; RunInto reuses one.
 func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, error) {
+	c := new(Composite)
+	if err := s.RunInto(c, r, psdu, mcs); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// RunInto is Run writing into c. It overwrites every field of c and reuses
+// the stream, interference-only and victim buffers and the transmit
+// scratch that an earlier RunInto left in c, growing them only when a
+// packet needs more, so a caller that keeps one Composite per worker
+// synthesises packets without allocating stream-sized buffers. The
+// samples are bit-identical to Run's for the same r. After an error, c's
+// contents are unspecified.
+func (s *Scenario) RunInto(c *Composite, r *dsp.Rand, psdu []byte, mcs wifi.MCS) error {
 	q := s.Q
 	if q < 1 {
 		q = 1
@@ -130,32 +158,43 @@ func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, erro
 	if pad == 0 {
 		pad = 100 * q
 	}
+	sc := &c.scratch
 
 	vcfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
-	victim, err := wifi.BuildPPDU(vcfg, psdu)
+	n := wifi.PPDULen(g, mcs, len(psdu))
+	victim, err := sc.tx.BuildInto(grow(sc.victim.Samples, n), vcfg, psdu, 0, n)
 	if err != nil {
-		return nil, fmt.Errorf("interference: victim: %w", err)
+		return fmt.Errorf("interference: victim: %w", err)
 	}
-	vWave := victim.Samples
-	if s.Channel != nil {
-		vWave = s.Channel.Apply(vWave)
-	}
-	streamLen := pad + len(vWave) + pad
-	stream := make([]complex128, streamLen)
-	dsp.AddInto(stream, vWave, pad)
+	sc.victim = victim
+
+	// The victim goes through its channel straight into the stream buffer,
+	// which gives the power the interferers are calibrated against.
+	streamLen := pad + n + pad
+	stream := grow(c.Samples, streamLen)
+	vWave := stream[pad : pad+n]
+	s.victimChannel(vWave, victim.Samples)
 	victimPower := dsp.Power(vWave)
 
-	interfOnly := make([]complex128, streamLen)
+	// The stream buffer then doubles as each interferer's own stream while
+	// interfOnly sums them, and the victim is filtered in again after.
+	interfOnly := grow(c.InterferenceOnly, streamLen)
+	clear(interfOnly)
 	victimDataStart := pad + victim.DataStart
 	for i := range s.Interferers {
-		wave, err := s.interfererWave(r, i, streamLen, victimDataStart)
+		wave, err := s.interfererWave(stream, sc, r, i, victimDataStart)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gain := channel.GainForSIR(victimPower, dsp.Power(wave), s.Interferers[i].SIRdB)
 		dsp.Scale(wave, gain)
 		dsp.AddInto(interfOnly, wave, 0)
 	}
+	if len(s.Interferers) > 0 {
+		s.victimChannel(vWave, victim.Samples)
+	}
+	clear(stream[:pad])
+	clear(stream[pad+n:])
 	for i := range interfOnly {
 		stream[i] += interfOnly[i]
 	}
@@ -163,22 +202,52 @@ func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, erro
 		channel.AWGN(r, stream, channel.NoisePowerForSNR(victimPower, s.SNRdB))
 	}
 
-	return &Composite{
-		Samples:          stream,
-		InterferenceOnly: interfOnly,
-		Victim:           victim,
-		Grid:             g,
-		FrameStart:       pad,
-		PSDU:             psdu,
-	}, nil
+	c.Samples = stream
+	c.InterferenceOnly = interfOnly
+	c.Victim = &sc.victim
+	c.Grid = g
+	c.FrameStart = pad
+	c.PSDU = psdu
+	return nil
 }
 
-// interfererWave builds a continuous stream of back-to-back PPDUs from
-// interferer i covering [0, streamLen), tiled so that the interferer's
-// symbol boundaries fall BoundaryOffset samples past each victim data
-// symbol start. PPDU lengths are whole multiples of the symbol length, so
-// the relative boundary position persists across tiles.
-func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart int) ([]complex128, error) {
+// victimChannel writes the victim waveform x, through the scenario's
+// channel, into dst.
+func (s *Scenario) victimChannel(dst, x []complex128) {
+	if s.Channel != nil {
+		s.Channel.ApplyInto(dst, x, 0)
+	} else {
+		copy(dst, x)
+	}
+}
+
+// grow returns buf resized to n samples, reallocating only when its
+// capacity is short. A reused buffer keeps its old contents.
+func grow(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+// tileWindow returns the part [lo, hi) of a tile of n samples placed at
+// stream position pos that falls inside a stream of streamLen samples, in
+// tile coordinates; lo == hi when none does.
+func tileWindow(pos, n, streamLen int) (lo, hi int) {
+	return min(max(0, -pos), n), max(0, min(n, streamLen-pos))
+}
+
+// interfererWave overwrites out with a continuous stream of back-to-back
+// PPDUs from interferer i, tiled so that the interferer's symbol
+// boundaries fall BoundaryOffset samples past each victim data symbol
+// start. PPDU lengths are whole multiples of the symbol length, so the
+// relative boundary position persists across tiles. The first tile starts
+// before the stream and the last one runs past it; each tile writes only
+// its slice inside the stream, and the slices cover every sample once.
+// Writing rather than adding onto zeros can differ only in the sign of a
+// zero, which RunInto's sum onto the zeroed interfOnly erases, so the
+// composite is bit-identical to summing whole tiles.
+func (s *Scenario) interfererWave(out []complex128, sc *synthScratch, r *dsp.Rand, i int, victimDataStart int) ([]complex128, error) {
 	itf := s.Interferers[i]
 	g := s.InterfererGrid(i)
 	mcs := itf.MCS
@@ -196,7 +265,7 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 		boundary = g.CP + 1 + r.Intn(symLen-g.CP-1)
 	}
 
-	out := make([]complex128, streamLen)
+	streamLen := len(out)
 	if s.Pool != nil {
 		// Pooled tiles: one index draw per tile, shared pre-encoded (and
 		// pre-filtered) waveforms. PPDU length is known without encoding.
@@ -207,9 +276,10 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 			if err != nil {
 				return nil, fmt.Errorf("interference: interferer %d: %w", i, err)
 			}
-			dsp.AddInto(out, w, pos)
+			lo, hi := tileWindow(pos, ppduLen, streamLen)
+			copy(out[pos+lo:pos+hi], w[lo:hi])
 		}
-	} else if err := s.freshTiles(r, itf, g, mcs, out, victimDataStart, boundary); err != nil {
+	} else if err := s.freshTiles(sc, r, itf, g, mcs, out, victimDataStart, boundary); err != nil {
 		return nil, fmt.Errorf("interference: interferer %d: %w", i, err)
 	}
 	cfo := itf.CFO
@@ -224,30 +294,41 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 	return out, nil
 }
 
-// freshTiles fills out with per-tile freshly-encoded PPDUs — the pool-less
-// path. The RNG draw sequence (scrambler seed, then one 396-byte payload
+// freshTiles writes per-tile freshly-encoded PPDUs into out — the
+// pool-less path. The RNG draw sequence (scrambler seed, then one 396-byte payload
 // per tile plus one trailing payload) reproduces the original
-// build-then-advance loop bit for bit, but the trailing payload — which
-// that loop encoded and then discarded — is only drawn, never encoded,
-// saving one full PPDU build per interferer per packet.
-func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int) error {
+// build-then-advance loop bit for bit; the trailing payload, which that
+// loop encoded and then discarded, is only drawn. Every tile runs its
+// whole bit pipeline, but only the samples that land in out are
+// synthesised: the tile's symbols overlapping the stream, plus the
+// channel's tap span before them, are modulated into the scratch tile
+// and only the overlapping output samples are filtered, each the same
+// value filtering the whole tile gives.
+func (s *Scenario) freshTiles(sc *synthScratch, r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int) error {
 	symLen := g.SymLen()
 	cfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
 	payload := wifi.BuildPSDU(r.Bytes(396))
 	ppduLen := wifi.PPDULen(g, mcs, len(payload))
+	span := 0 // input samples before an output sample that the channel reads
+	if itf.Channel != nil {
+		span = len(itf.Channel.Taps) - 1
+	}
+	tile := grow(sc.tile, ppduLen)
+	sc.tile = tile
 	// Choose the first tile position ≡ victimDataStart+boundary (mod symLen)
 	// and at or before sample 0.
 	pos := (victimDataStart+boundary)%symLen - ppduLen
 	for ; pos < len(out); pos += ppduLen {
-		ppdu, err := wifi.BuildPPDU(cfg, payload)
-		if err != nil {
-			return err
+		if lo, hi := tileWindow(pos, ppduLen, len(out)); lo < hi {
+			if _, err := sc.tx.BuildInto(tile, cfg, payload, max(0, lo-span), hi); err != nil {
+				return err
+			}
+			if itf.Channel != nil {
+				itf.Channel.ApplyInto(out[pos+lo:pos+hi], tile, lo)
+			} else {
+				copy(out[pos+lo:pos+hi], tile[lo:hi])
+			}
 		}
-		w := ppdu.Samples
-		if itf.Channel != nil {
-			w = itf.Channel.Apply(w)
-		}
-		dsp.AddInto(out, w, pos)
 		// Fresh payload for the next tile.
 		payload = wifi.BuildPSDU(r.Bytes(396))
 	}

@@ -131,19 +131,14 @@ var preambleCache sync.Map // Grid -> []complex128
 // followed by long training field) on the modulator's grid. On a native
 // 64-point grid the result is exactly 320 samples (16 µs); on a q×
 // oversampled grid it is 320·q samples covering the same 16 µs.
-// The waveform is cached per grid; a fresh copy is returned each call.
+// The waveform is cached per grid and the returned slice is shared: it
+// must not be modified.
 func Preamble(m *Modulator) []complex128 {
 	if v, ok := preambleCache.Load(m.Grid()); ok {
-		cached := v.([]complex128)
-		out := make([]complex128, len(cached))
-		copy(out, cached)
-		return out
+		return v.([]complex128)
 	}
-	p := synthesisePreamble(m)
-	cached := make([]complex128, len(p))
-	copy(cached, p)
-	preambleCache.Store(m.Grid(), cached)
-	return p
+	v, _ := preambleCache.LoadOrStore(m.Grid(), synthesisePreamble(m))
+	return v.([]complex128)
 }
 
 func synthesisePreamble(m *Modulator) []complex128 {

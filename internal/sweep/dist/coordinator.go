@@ -1491,7 +1491,8 @@ func (j *Job) Progress() sweep.Progress {
 
 // Handler returns the worker-tier HTTP API (the /v1/dist/ endpoints).
 // Registration and admin routes are guarded by the join secret; the
-// data-plane routes by the per-worker tokens it mints.
+// data-plane routes by the per-worker tokens it mints. Unknown routes
+// answer in the error envelope.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	writeJSON := func(w http.ResponseWriter, status int, v any) {
@@ -1648,7 +1649,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/dist/events", admin(c.fleetEventsHandler))
 
-	return mux
+	return api.Routes(mux)
 }
 
 // BearerAuth wraps h so every request must carry

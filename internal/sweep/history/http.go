@@ -27,8 +27,9 @@ import (
 // Errors use the shared envelope: 404 unknown fingerprint, 409 when a
 // table has store gaps (evicted or never-stored points, indices listed)
 // or the binary plans a recorded spec differently (version skew), 400
-// bad parameters. The surface is read-only by construction — callers
-// mount it behind the same bearer auth as the rest of /v1.
+// bad parameters, 404 or 405 a path or method no route serves. The
+// surface is read-only by construction — callers mount it behind the
+// same bearer auth as the rest of /v1.
 func Handler(ix *Index, st *store.Store) http.Handler {
 	mux := http.NewServeMux()
 
@@ -87,7 +88,7 @@ func Handler(ix *Index, st *store.Store) http.Handler {
 		_ = api.WriteJSON(w, http.StatusOK, d)
 	})
 
-	return mux
+	return api.Routes(mux)
 }
 
 // writeHistoryErr maps the package's typed errors onto envelope statuses.

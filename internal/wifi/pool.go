@@ -20,12 +20,15 @@ func PPDULen(g ofdm.Grid, mcs MCS, psduLen int) int {
 // WaveformPool is a process-wide cache of pre-encoded PPDU waveforms,
 // keyed by (grid, MCS). The experiment harness's interferer tiles are
 // random payloads whose only role is to radiate realistically-coded OFDM
-// energy; encoding a fresh PPDU per tile per packet costs an IFFT per
-// symbol and was ~20% of a Fig. 8 sweep. A pool instead pre-encodes Size
+// energy. The pool-less path encodes a fresh PPDU per tile per packet,
+// but modulates and filters only the symbols of each tile that reach the
+// victim's stream (see interference.Scenario); that still costs an IFFT
+// per heard symbol and an encode per tile. A pool instead pre-encodes Size
 // waveforms per key from its own deterministic RNG and lets each packet
 // pick tiles with a single draw from the packet RNG (Pick), so any two
 // runs of the same packet seed — e.g. the sweep engine's shards and a
-// direct RunPSR — select bit-identical waveforms.
+// direct RunPSR — select bit-identical waveforms; a packet then only
+// copies the picked tiles' slices that overlap its stream.
 //
 // Because pool waveforms replace the per-tile payload/scrambler draws,
 // results with a pool differ from the pool-less path (which remains the
@@ -53,14 +56,12 @@ type poolEntry struct {
 	ppdus []*PPDU
 	err   error
 
-	mu       sync.Mutex
-	filtered map[filterKey][][]complex128
+	mu sync.Mutex
+	// filtered holds channel-applied variants of the pool waveforms,
+	// keyed by the channel's exact tap values (appendTapsKey): the
+	// canonical scenarios reuse a handful of fixed tap profiles.
+	filtered map[string][][]complex128
 }
-
-// filterKey identifies a multipath channel by its exact tap values, so
-// channel-applied variants of pool waveforms can be cached too (the
-// canonical scenarios reuse a handful of fixed tap profiles).
-type filterKey string
 
 // DefaultPoolSize is the number of pre-encoded waveforms per (grid, MCS)
 // the benches use: large enough that a 2000-packet point never sees a tile
@@ -160,19 +161,20 @@ func (p *WaveformPool) PickFiltered(r *dsp.Rand, g ofdm.Grid, mcs MCS, ch *chann
 	if ch == nil {
 		return e.ppdus[idx].Samples, nil
 	}
-	fk := tapsKey(ch)
+	var buf [8 * 16]byte // a key of up to eight taps stays on the stack
+	key := appendTapsKey(buf[:0], ch)
 	e.mu.Lock()
 	if e.filtered == nil {
-		e.filtered = make(map[filterKey][][]complex128)
+		e.filtered = make(map[string][][]complex128)
 	}
-	waves, ok := e.filtered[fk]
+	waves, ok := e.filtered[string(key)]
 	if !ok {
 		if len(e.filtered) >= maxFilteredProfiles {
 			e.mu.Unlock()
 			return ch.Apply(e.ppdus[idx].Samples), nil
 		}
 		waves = make([][]complex128, p.size)
-		e.filtered[fk] = waves
+		e.filtered[string(key)] = waves
 	}
 	w := waves[idx]
 	e.mu.Unlock()
@@ -193,15 +195,14 @@ func (p *WaveformPool) PickFiltered(r *dsp.Rand, g ofdm.Grid, mcs MCS, ch *chann
 	return w, nil
 }
 
-// tapsKey serialises the channel taps exactly (bit patterns, not rounded
-// text) so distinct channels never collide.
-func tapsKey(ch *channel.Multipath) filterKey {
-	b := make([]byte, 0, 16*len(ch.Taps))
+// appendTapsKey appends the channel taps' exact bit patterns (not
+// rounded text) to b, so distinct channels never share a key.
+func appendTapsKey(b []byte, ch *channel.Multipath) []byte {
 	for _, t := range ch.Taps {
 		b = appendFloatBits(b, real(t))
 		b = appendFloatBits(b, imag(t))
 	}
-	return filterKey(b)
+	return b
 }
 
 func appendFloatBits(b []byte, f float64) []byte {

@@ -123,3 +123,29 @@ func TestPickFilteredMatchesApply(t *testing.T) {
 		}
 	}
 }
+
+// TestPickFilteredAllocationFree pins the pooled path's steady state: once
+// a (key, channel) variant is cached, a pick allocates nothing — the tap
+// key is built on the stack.
+func TestPickFilteredAllocationFree(t *testing.T) {
+	g := ofdm.WideGrid(64, 16, 4, 112)
+	m, err := MCSByName("16-QAM 1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewWaveformPool(2, 1)
+	ch := channel.Indoor2Tap()
+	r := dsp.NewRand(1)
+	for i := 0; i < 16; i++ { // fill both filtered slots
+		if _, err := p.PickFiltered(r, g, m, ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := p.PickFiltered(r, g, m, ch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("PickFiltered allocates %.1f times per pick", n)
+	}
+}

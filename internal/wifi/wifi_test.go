@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"bytes"
+	"math"
 	"math/cmplx"
 	"testing"
 	"testing/quick"
@@ -331,5 +332,111 @@ func BenchmarkBuildPPDU400B(b *testing.B) {
 		if _, err := BuildPPDU(cfg, psdu); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBuildIntoWindowsMatchBuildPPDU pins the windowed builder to the full
+// one: for every window between the frame's layout boundaries — windows
+// ending inside the preamble or SIGNAL, cutting DATA symbols, empty ones —
+// BuildInto writes exactly BuildPPDU's samples into dst[lo:hi] and leaves
+// every other sample alone. One Builder serves every case, so switching
+// grids, MCSs and PSDU sizes is covered too.
+func TestBuildIntoWindowsMatchBuildPPDU(t *testing.T) {
+	var b Builder
+	sentinel := complex(math.Inf(1), math.Inf(-1))
+	for _, tc := range []struct {
+		grid ofdm.Grid
+		mcs  string
+		n    int
+	}{
+		{ofdm.Native80211Grid(), "QPSK 1/2", 20},
+		{ofdm.WideGrid(64, 16, 4, 112), "16-QAM 1/2", 150},
+		{ofdm.WideGrid(64, 16, 4, 64), "64-QAM 2/3", 40},
+		{ofdm.Native80211Grid(), "BPSK 1/2", 7},
+	} {
+		m, err := MCSByName(tc.mcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := TxConfig{Grid: tc.grid, MCS: m, ScramblerSeed: 0x2b}
+		psdu := BuildPSDU(dsp.NewRand(int64(tc.n)).Bytes(tc.n - 4))
+		full := mustPPDU(t, cfg, psdu)
+		total := len(full.Samples)
+		sym := tc.grid.SymLen()
+		// Every layout boundary and its neighbours, plus a stride that
+		// lands at every phase of a symbol.
+		var cuts []int
+		for c := 0; c <= total; c += sym/4 + 3 {
+			cuts = append(cuts, c)
+		}
+		for _, c := range []int{0, 1, full.PreambleLen / 2, full.PreambleLen - 1, full.PreambleLen,
+			full.SignalStart + sym/2, full.DataStart - 1, full.DataStart, full.DataStart + 1,
+			full.DataStart + sym + tc.grid.CP, total - sym - 1, total - 1, total} {
+			if c >= 0 && c <= total {
+				cuts = append(cuts, c)
+			}
+		}
+		dst := make([]complex128, total)
+		for _, lo := range cuts {
+			for _, hi := range cuts {
+				if hi < lo {
+					continue
+				}
+				for i := range dst {
+					dst[i] = sentinel
+				}
+				p, err := b.BuildInto(dst, cfg, psdu, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(p.Samples) != total || p.DataStart != full.DataStart || p.NumDataSymbols != full.NumDataSymbols {
+					t.Fatalf("%s/%dB: layout %+v differs from BuildPPDU's", tc.mcs, tc.n, p)
+				}
+				for i, v := range dst {
+					want := sentinel
+					if i >= lo && i < hi {
+						want = full.Samples[i]
+					}
+					if math.Float64bits(real(v)) != math.Float64bits(real(want)) || math.Float64bits(imag(v)) != math.Float64bits(imag(want)) {
+						t.Fatalf("%s/%dB window [%d,%d): sample %d = %v, want %v", tc.mcs, tc.n, lo, hi, i, v, want)
+					}
+				}
+			}
+		}
+	}
+	m, _ := MCSByName("QPSK 1/2")
+	cfg := TxConfig{Grid: ofdm.Native80211Grid(), MCS: m}
+	n := PPDULen(cfg.Grid, m, 20)
+	if _, err := b.BuildInto(make([]complex128, n-1), cfg, make([]byte, 20), 0, 1); err == nil {
+		t.Fatal("BuildInto accepted a buffer shorter than the PPDU")
+	}
+	if _, err := b.BuildInto(make([]complex128, n), cfg, make([]byte, 20), 5, n+1); err == nil {
+		t.Fatal("BuildInto accepted a window past the PPDU")
+	}
+}
+
+// TestBuildIntoSteadyStateAllocations pins the Builder's reuse: a warm
+// Builder encodes a whole frame into a caller's buffer with only the few
+// small SIGNAL-field allocations, and reading the cached preamble copies
+// nothing.
+func TestBuildIntoSteadyStateAllocations(t *testing.T) {
+	m, _ := MCSByName("16-QAM 1/2")
+	cfg := TxConfig{Grid: ofdm.WideGrid(64, 16, 4, 112), MCS: m}
+	psdu := BuildPSDU(dsp.NewRand(1).Bytes(396))
+	dst := make([]complex128, PPDULen(cfg.Grid, m, len(psdu)))
+	var b Builder
+	build := func() {
+		if _, err := b.BuildInto(dst, cfg, psdu, 0, len(dst)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	if n := testing.AllocsPerRun(20, build); n > 8 {
+		t.Fatalf("warm BuildInto allocates %.0f times per frame", n)
+	}
+	mod := ofdm.MustModulator(cfg.Grid)
+	ofdm.Preamble(mod)
+	if n := testing.AllocsPerRun(20, func() { ofdm.Preamble(mod) }); n != 0 {
+		t.Fatalf("cached Preamble allocates %.0f times per call", n)
 	}
 }
